@@ -164,12 +164,20 @@ pub struct Frame {
 /// Serializes a frame to a byte vector (header + payload + CRC).
 pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 9);
+    encode_frame_into(&mut out, kind, payload);
+    out
+}
+
+/// Appends one serialized frame (header + payload + CRC) to `out`
+/// without clearing it — the server queues replies this way, straight
+/// into a connection's reused output buffer.
+pub fn encode_frame_into(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
+    out.reserve(payload.len() + 9);
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     let crc = crc32_update(crc32_update(!0u32, &[kind as u8]), payload) ^ !0u32;
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Writes one frame.
@@ -1305,6 +1313,14 @@ mod tests {
         let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
         assert_eq!(frame.kind, FrameKind::Events);
         assert_eq!(frame.payload, payload);
+    }
+
+    #[test]
+    fn encode_frame_into_appends() {
+        let mut out = b"pending".to_vec();
+        encode_frame_into(&mut out, FrameKind::Stats, b"abc");
+        assert_eq!(&out[..7], b"pending");
+        assert_eq!(&out[7..], frame_bytes(FrameKind::Stats, b"abc").as_slice());
     }
 
     #[test]

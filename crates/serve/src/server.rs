@@ -12,8 +12,13 @@
 //! readable bytes into a per-connection [`FrameDecoder`] and processes
 //! the complete frames — the hot path stays lock-free (the only locks
 //! are the inbox mutex at sweep start and the fleet fold at batch
-//! cadence). Idle workers back off from yielding to short sleeps to a
-//! condvar wait, so an idle server burns almost no CPU.
+//! cadence). A sweep that moves nothing ends in one `ppoll(2)` over the
+//! worker's own sockets plus its inbox's wake socket, so a waiting
+//! worker wakes the moment a socket or its inbox turns ready. For ~2 ms
+//! after its last progress a worker that owns connections caps each wait
+//! at 100 µs (`LINGER_TICK` says why); otherwise it blocks with no
+//! timeout, so an idle server uses no CPU. That call makes this module
+//! Linux-only.
 //!
 //! **Live migration**: a session moves between workers by saving its
 //! pipeline SNAPSHOT blob on the source worker and restoring it on the
@@ -30,8 +35,11 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -41,10 +49,10 @@ use paco_types::fingerprint::code_fingerprint;
 
 use crate::metrics::{ServeMetrics, SessionMode};
 use crate::proto::{
-    decode_events_into, decode_hello, decode_migrate_req, encode_error, encode_migrate_ack,
-    encode_outcomes_into, encode_snapshot, encode_stats, encode_welcome, frame_bytes, ErrorCode,
-    FleetStats, Frame, FrameDecoder, FrameKind, Hello, MigrateAck, ProtoError, Resume, Snapshot,
-    Stats, Welcome, PROTOCOL_VERSION,
+    decode_events_into, decode_hello, decode_migrate_req, encode_error, encode_frame_into,
+    encode_migrate_ack, encode_outcomes_into, encode_snapshot, encode_stats, encode_welcome,
+    ErrorCode, FleetStats, Frame, FrameDecoder, FrameKind, Hello, MigrateAck, ProtoError, Resume,
+    Snapshot, Stats, Welcome, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::session::{Session, SessionTable};
 use crate::watch::{FleetAggregator, WatchState};
@@ -58,24 +66,84 @@ const FOLD_EVERY_BATCHES: u64 = 32;
 /// Bytes read from one connection per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// The largest legal frame on the wire: kind byte, length prefix, a
+/// maximal payload, CRC.
+const MAX_FRAME_BYTES: usize = 5 + MAX_FRAME_PAYLOAD + 4;
+
 /// A connection whose decoder already buffers this much stops reading
 /// until frames drain — keeps one fire-hose client from starving its
-/// shard's siblings.
-const READ_HIGH_WATER: usize = 2 * 1024 * 1024;
+/// shard's siblings. One maximal frame always fits, so every legal frame
+/// completes; a decoder holds less than this plus one [`READ_CHUNK`].
+const READ_HIGH_WATER: usize = MAX_FRAME_BYTES;
 
-/// Idle sweeps a worker yields through before it starts sleeping. Kept
-/// small: on few-core hosts a longer yield spin starves the peer
-/// threads the workers are ping-ponging with (measured ~20% off
-/// `serve_throughput` at 32 on one vCPU), while the first few yields
-/// still catch the common back-to-back frame without a sleep.
-const IDLE_SPINS: u32 = 4;
+/// A connection whose unflushed output reaches this much stops reading
+/// and dispatching until the peer drains it — write backpressure
+/// against a client that sends but never reads. One maximal frame plus
+/// a read chunk of headroom; `out` holds less than this plus one reply.
+const WRITE_HIGH_WATER: usize = MAX_FRAME_BYTES + READ_CHUNK;
 
-/// Sleep between sweeps once a worker with connections has gone idle.
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
+/// How long a worker that owns connections and just made progress waits
+/// at most per `ppoll`. Shorter than a hypervisor's typical
+/// halt-polling window (200 µs on KVM), so a vCPU serving a paced client
+/// is not descheduled between frames; on a 2-vCPU VM, waits with no
+/// timeout made a paced client's own sleeps wake up to 4 ms late.
+const LINGER_TICK: Timespec = Timespec {
+    tv_sec: 0,
+    tv_nsec: 100_000,
+};
 
-/// How long a worker with no connections parks on its inbox condvar
-/// before re-checking the shutdown flag.
-const EMPTY_WAIT: Duration = Duration::from_millis(5);
+/// Empty waits of at most [`LINGER_TICK`] after the last progress
+/// (~2 ms); after that the worker blocks until something is ready.
+const LINGER_TICKS: u32 = 20;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `struct timespec` from `<time.h>` (`time_t` is `long` on Linux).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    /// `ppoll(2)` from the C library std already links (`nfds_t` is
+    /// `unsigned long` on Linux).
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// Waits until some entry of `fds` is ready or `timeout` passes (`None`:
+/// no timeout), filling in `revents`. A timeout or an error (`EINTR`
+/// included) leaves every `revents` zero; the caller re-sweeps either way.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<&Timespec>) {
+    let timeout = timeout.map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: `fds` is an exclusively borrowed, initialized slice of
+    // `#[repr(C)]` pollfd records and `nfds` is its length, so ppoll
+    // reads and writes (only `revents`) within the slice; the timeout
+    // is null or points at a live timespec; a null signal mask leaves
+    // the mask unchanged.
+    unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as c_ulong,
+            timeout,
+            std::ptr::null(),
+        );
+    }
+}
 
 /// Server construction knobs beyond the bind address.
 #[derive(Debug, Clone)]
@@ -187,19 +255,40 @@ struct Migration {
     operator: bool,
 }
 
-/// One worker's inbox: a mutexed queue plus a condvar so an empty
-/// worker can sleep instead of polling.
+/// One worker's inbox: a mutexed queue plus a non-blocking socket pair
+/// whose read end turns "a message arrived" into readiness the worker's
+/// `poll` waits on.
 struct Inbox {
     queue: Mutex<Vec<ShardMsg>>,
-    signal: Condvar,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
 }
 
 impl Inbox {
-    fn new() -> Self {
-        Inbox {
+    fn new() -> std::io::Result<Self> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Inbox {
             queue: Mutex::new(Vec::new()),
-            signal: Condvar::new(),
-        }
+            wake_tx,
+            wake_rx,
+        })
+    }
+
+    /// Makes the wake socket readable. A full socket already holds
+    /// unread bytes, so a `WouldBlock` loses no wakeup.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Consumes pending wakeups. Called only after `poll` reported the
+    /// wake socket readable and before the worker takes the queue: a
+    /// byte is written after its message is pushed, so every byte this
+    /// drains belongs to a message the following take will see.
+    fn drain_wakeups(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 }
 
@@ -233,7 +322,15 @@ impl Shared {
             .lock()
             .expect("shard inbox poisoned")
             .push(msg);
-        self.inboxes[target].signal.notify_one();
+        self.inboxes[target].wake();
+    }
+
+    /// Raises the shutdown flag and wakes every worker to see it.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for inbox in &self.inboxes {
+            inbox.wake();
+        }
     }
 
     /// Parks a session that lost its connection (any non-BYE exit).
@@ -320,6 +417,26 @@ impl Conn {
         self.out_pos == self.out.len()
     }
 
+    /// Whether unflushed output has reached [`WRITE_HIGH_WATER`]: the
+    /// connection neither reads nor dispatches until the peer drains it.
+    fn write_blocked(&self) -> bool {
+        self.out.len() - self.out_pos >= WRITE_HIGH_WATER
+    }
+
+    /// The readiness this connection waits for while its worker idles:
+    /// input unless it is closing or above a high-water mark, output
+    /// while replies are unflushed. (`POLLERR`/`POLLHUP` always wake.)
+    fn interest(&self) -> c_short {
+        let mut events = 0;
+        if !self.closing && self.decoder.buffered() < READ_HIGH_WATER && !self.write_blocked() {
+            events |= POLLIN;
+        }
+        if !self.out_done() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     /// Writes as much pending output as the socket accepts right now.
     /// `Ok(true)` if any bytes moved.
     fn flush(&mut self) -> std::io::Result<bool> {
@@ -342,11 +459,6 @@ impl Conn {
         }
         Ok(progress)
     }
-}
-
-/// Queues one frame on a connection's output buffer.
-fn queue_frame(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
-    out.extend_from_slice(&frame_bytes(kind, payload));
 }
 
 /// Packs a migration's shard pair into a flight event's `b` detail
@@ -412,7 +524,10 @@ impl Worker {
     fn run(&self) {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut scratch = Scratch::new();
-        let mut idle = 0u32;
+        // Reused across sweeps and waits, like `scratch`.
+        let mut ids: Vec<u64> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut quiet = LINGER_TICKS;
         loop {
             if let Some(wait) = self.shared.faults.take_stall(self.index) {
                 thread::sleep(wait);
@@ -434,9 +549,10 @@ impl Worker {
                 self.shared.metrics.shard_connections[self.index].set(0.0);
                 return;
             }
-            let mut ids: Vec<u64> = conns.keys().copied().collect();
+            ids.clear();
+            ids.extend(conns.keys().copied());
             ids.sort_unstable();
-            for id in ids {
+            for &id in &ids {
                 let verdict = {
                     let conn = conns.get_mut(&id).expect("conn vanished mid-sweep");
                     self.sweep_conn(conn, &mut scratch)
@@ -463,11 +579,35 @@ impl Worker {
             active |= self.try_policy_migration(&mut conns);
             self.shared.metrics.shard_connections[self.index].set(conns.len() as f64);
             if active {
-                idle = 0;
+                quiet = 0;
             } else {
-                idle = idle.saturating_add(1);
-                self.backoff(idle, !conns.is_empty());
+                let timeout = (quiet < LINGER_TICKS && !conns.is_empty()).then_some(&LINGER_TICK);
+                quiet = quiet.saturating_add(1);
+                self.wait(&conns, &mut fds, timeout);
             }
+        }
+    }
+
+    /// Waits until the inbox or one of the worker's connections is ready
+    /// (or `timeout` passes). The fd array is rebuilt from `conns` on
+    /// every wait, so a connection that arrives or leaves through the
+    /// inbox needs no registration.
+    fn wait(&self, conns: &HashMap<u64, Conn>, fds: &mut Vec<PollFd>, timeout: Option<&Timespec>) {
+        let inbox = &self.shared.inboxes[self.index];
+        fds.clear();
+        fds.push(PollFd {
+            fd: inbox.wake_rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        fds.extend(conns.values().map(|conn| PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events: conn.interest(),
+            revents: 0,
+        }));
+        wait_ready(fds, timeout);
+        if fds[0].revents != 0 {
+            inbox.drain_wakeups();
         }
     }
 
@@ -497,7 +637,8 @@ impl Worker {
     }
 
     /// One readiness pass over one connection: flush, read, decode,
-    /// dispatch, flush.
+    /// dispatch, flush. Reading and dispatch pause while the
+    /// connection is write-blocked.
     fn sweep_conn(&self, conn: &mut Conn, scratch: &mut Scratch) -> Sweep {
         let mut active = match conn.flush() {
             Ok(progress) => progress,
@@ -512,7 +653,7 @@ impl Worker {
         }
 
         let mut saw_eof = false;
-        while conn.decoder.buffered() < READ_HIGH_WATER {
+        while conn.decoder.buffered() < READ_HIGH_WATER && !conn.write_blocked() {
             match conn.stream.read(&mut scratch.read_buf) {
                 Ok(0) => {
                     saw_eof = true;
@@ -533,7 +674,15 @@ impl Worker {
             }
         }
 
+        // Cleared if backpressure stops dispatch with frames still
+        // buffered: the EOF verdict waits for them (a later read sees
+        // the EOF again).
+        let mut drained = true;
         loop {
+            if conn.write_blocked() {
+                drained = false;
+                break;
+            }
             match conn.decoder.try_frame() {
                 Ok(Some(frame)) => {
                     active = true;
@@ -563,7 +712,7 @@ impl Worker {
             }
         }
 
-        if saw_eof && !conn.closing {
+        if saw_eof && drained && !conn.closing {
             match conn.decoder.on_eof() {
                 Ok(()) => {
                     // Clean close at a frame boundary: a non-BYE exit,
@@ -641,7 +790,7 @@ impl Worker {
             fingerprint: code_fingerprint(),
             events: session.pipeline.events(),
         };
-        queue_frame(&mut conn.out, FrameKind::Welcome, &encode_welcome(&welcome));
+        encode_frame_into(&mut conn.out, FrameKind::Welcome, &encode_welcome(&welcome));
         let home = (session.id % self.shared.workers as u64) as usize;
         conn.session = Some(SessionCtx {
             session,
@@ -674,7 +823,7 @@ impl Worker {
                     .run_batch(&scratch.events, &mut scratch.outcomes);
                 scratch.predictions.clear();
                 encode_outcomes_into(&mut scratch.predictions, &scratch.outcomes);
-                queue_frame(out, FrameKind::Predictions, &scratch.predictions);
+                encode_frame_into(out, FrameKind::Predictions, &scratch.predictions);
                 // Watch telemetry rides the hot loop allocation-free;
                 // the fleet fold (which locks) runs at a batch cadence.
                 ctx.session.watch.observe_batch(&scratch.outcomes);
@@ -702,7 +851,7 @@ impl Worker {
                     session: ctx.session.watch.session_stats(ctx.session.id),
                     fleet: shared.fleet.snapshot(shared.table.parked()),
                 };
-                queue_frame(out, FrameKind::Stats, &encode_stats(&stats));
+                encode_frame_into(out, FrameKind::Stats, &encode_stats(&stats));
                 Flow::Continue
             }
             FrameKind::SnapshotReq => {
@@ -713,7 +862,7 @@ impl Worker {
                     events: ctx.session.pipeline.events(),
                     state,
                 };
-                queue_frame(out, FrameKind::Snapshot, &encode_snapshot(&snapshot));
+                encode_frame_into(out, FrameKind::Snapshot, &encode_snapshot(&snapshot));
                 Flow::Continue
             }
             FrameKind::Bye => Flow::Bye,
@@ -749,7 +898,7 @@ impl Worker {
                         from_shard: self.index as u32,
                         to_shard: self.index as u32,
                     };
-                    queue_frame(out, FrameKind::Migrate, &encode_migrate_ack(&ack));
+                    encode_frame_into(out, FrameKind::Migrate, &encode_migrate_ack(&ack));
                     return Flow::Continue;
                 }
                 Flow::Migrate {
@@ -876,7 +1025,7 @@ impl Worker {
                 from_shard: from,
                 to_shard: to,
             };
-            queue_frame(&mut conn.out, FrameKind::Migrate, &encode_migrate_ack(&ack));
+            encode_frame_into(&mut conn.out, FrameKind::Migrate, &encode_migrate_ack(&ack));
         }
         conn
     }
@@ -896,7 +1045,7 @@ impl Worker {
                 .record(FlightKind::FrameError, conn.id, session_id);
             metrics.recorder().dump("protocol error");
         }
-        queue_frame(&mut conn.out, FrameKind::Error, &encode_error(code, msg));
+        encode_frame_into(&mut conn.out, FrameKind::Error, &encode_error(code, msg));
         conn.closing = true;
         if let Some(ctx) = conn.session.take() {
             self.shared.park_exit(ctx);
@@ -926,28 +1075,6 @@ impl Worker {
             .recorder()
             .record(FlightKind::ConnClose, conn.id, 0);
         let _ = conn.stream.shutdown(Shutdown::Both);
-    }
-
-    /// Idle backoff: yield for the first [`IDLE_SPINS`] sweeps, then
-    /// short sleeps while connections exist, then a condvar wait once
-    /// the worker owns nothing at all.
-    fn backoff(&self, idle: u32, has_conns: bool) {
-        if idle < IDLE_SPINS {
-            thread::yield_now();
-            return;
-        }
-        if has_conns {
-            thread::sleep(IDLE_SLEEP);
-            return;
-        }
-        let inbox = &self.shared.inboxes[self.index];
-        let guard = inbox.queue.lock().expect("shard inbox poisoned");
-        if guard.is_empty() && !self.shared.shutdown.load(Ordering::SeqCst) {
-            let _ = inbox
-                .signal
-                .wait_timeout(guard, EMPTY_WAIT)
-                .expect("shard inbox poisoned");
-        }
     }
 }
 
@@ -1022,7 +1149,9 @@ impl RunningServer {
             fleet,
             metrics,
             faults: Arc::new(FaultInjector::new()),
-            inboxes: (0..workers).map(|_| Inbox::new()).collect(),
+            inboxes: (0..workers)
+                .map(|_| Inbox::new())
+                .collect::<std::io::Result<_>>()?,
         });
         let mut worker_threads = Vec::with_capacity(workers);
         for index in 0..workers {
@@ -1093,12 +1222,9 @@ impl RunningServer {
         let Some(accept) = self.accept_thread.take() else {
             return;
         };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shut_down();
         // Unblock the accept loop: it re-checks the flag per connection.
         let _ = TcpStream::connect(self.addr);
-        for inbox in &self.shared.inboxes {
-            inbox.signal.notify_one();
-        }
         let _ = accept.join();
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
@@ -1114,10 +1240,7 @@ impl RunningServer {
         if let Some(accept) = self.accept_thread.take() {
             let _ = accept.join();
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for inbox in &self.shared.inboxes {
-            inbox.signal.notify_one();
-        }
+        self.shared.shut_down();
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
