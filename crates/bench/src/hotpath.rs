@@ -31,36 +31,28 @@
 //! the cost of running metered, isolated. The baseline policy caps this
 //! lane's overhead at 2% of the unmetered batched wire lane.
 //!
-//! Each row also carries a **per-pass breakdown** (predict / train /
-//! estimator microseconds per frame), measured on a separate probed run
-//! of the *chunked* data-parallel kernel
-//! ([`OnlinePipeline::run_batch_probed`]) — the [`PassProbe`] hook adds
-//! clock reads, so it never touches the headline numbers, which come
-//! from the fused `run_batch` kernel. `--batch N[,N…]` additionally
-//! sweeps the batched pipeline lane across frame sizes, digest-gating
-//! every size against the default-size outcome stream.
+//! `--batch N[,N…]` additionally sweeps the batched pipeline lane
+//! across frame sizes, digest-gating every size against the
+//! default-size outcome stream.
 //!
 //! Like `serve_throughput`, this is a wall-clock measurement: it
 //! bypasses the engine and the result cache. The numbers only count if
 //! the lanes agree — every run digests every lane's prediction payloads
-//! (per-event reference, fused batched, chunked kernel, watched) and
-//! fails on any divergence, so the benchmark doubles as a parity
-//! check. The `--json` output of this experiment (plus
+//! (per-event reference, batched, watched, metered) for every estimator
+//! kind the server accepts and fails on any divergence, so the benchmark
+//! doubles as a parity check. The `--json` output of this experiment (plus
 //! `serve_throughput`) is what `BENCH_baseline.json` at the repo root
 //! records; see `docs/EXPERIMENTS.md` for how baselines are compared.
 
 use std::time::{Duration, Instant};
 
-use paco::{PacoConfig, ThresholdCountConfig};
+use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
 use paco_corpus::CalibrationProfile;
-use paco_obs::HistogramSnapshot;
 use paco_serve::proto::{
     decode_events, decode_events_into, encode_events, encode_outcomes, encode_outcomes_into,
 };
 use paco_serve::{Digest, FrameKind, ServeMetrics, WatchState};
-use paco_sim::{
-    EstimatorKind, HotPass, NoProbe, OnlineConfig, OnlinePipeline, OutcomeBatch, PassProbe,
-};
+use paco_sim::{EstimatorKind, OnlineConfig, OnlinePipeline, OutcomeBatch};
 use paco_types::{DynInstr, EventBatch};
 use paco_workloads::{BenchmarkId, Workload};
 
@@ -94,29 +86,6 @@ impl LanePair {
     }
 }
 
-/// Where the chunked data-parallel kernel's wall time goes, attributed
-/// per pass by a [`PassProbe`] over the whole stream and averaged per
-/// frame.
-///
-/// Probed runs carry two extra clock reads per pass per 16-event chunk,
-/// so these numbers attribute time *within* the chunked kernel; the
-/// headline `batched_eps` comes from a separate unprobed run of the
-/// fused `run_batch` kernel. The final partial chunk runs through the
-/// scalar step unattributed, so the three passes sum to slightly less
-/// than a probed frame's wall time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassBreakdown {
-    /// Mean microseconds per frame in Pass 0 (event compaction, history
-    /// scan, hashed index precomputation, next-chunk prefetch).
-    pub predict_us: f64,
-    /// Mean microseconds per frame in Pass A (the order-exact table
-    /// pass: counter reads, MDC fetches, due resolve-time trains).
-    pub train_us: f64,
-    /// Mean microseconds per frame in Pass B (the estimator chunk hook,
-    /// window pushes and outcome packing).
-    pub estimator_us: f64,
-}
-
 /// Measurements for one estimator kind.
 #[derive(Debug, Clone)]
 pub struct HotpathRow {
@@ -132,8 +101,6 @@ pub struct HotpathRow {
     /// Events/second through the batched wire lane with the `paco-obs`
     /// metric plane attached (the `paco-served` per-frame recording).
     pub wire_metrics_eps: f64,
-    /// Per-pass wall-time attribution of the batched pipeline lane.
-    pub passes: PassBreakdown,
 }
 
 impl HotpathRow {
@@ -200,12 +167,16 @@ pub fn run_hotpath_sweep(batches: &[usize]) -> Result<HotpathReport, String> {
     run_at_sweep(default_instrs(DEFAULT_INSTRS), default_seed(), batches)
 }
 
-/// The estimator kinds the experiment sweeps.
-fn kinds() -> [EstimatorKind; 3] {
+/// The estimator kinds the experiment sweeps: every kind the server
+/// accepts, so each one is digest-gated through every wire lane.
+fn kinds() -> [EstimatorKind; 6] {
     [
         EstimatorKind::None,
         EstimatorKind::ThresholdCount(ThresholdCountConfig::paper_default()),
         EstimatorKind::Paco(PacoConfig::paper()),
+        EstimatorKind::StaticMrt,
+        EstimatorKind::PerBranchMrt(PerBranchMrtConfig::paper()),
+        EstimatorKind::AdaptiveMrt(AdaptiveMrtConfig::paper()),
     ]
 }
 
@@ -253,25 +224,14 @@ pub fn run_at_sweep(
         let estimator = OnlinePipeline::new(&config).estimator_name();
 
         // Parity gate (untimed): all lanes' prediction payloads must
-        // digest identically before any number is reported. The chunked
-        // kernel is gated even though the headline timings run fused —
-        // the probed breakdown below runs through it, and its parity
-        // contract is load-bearing regardless of which kernel the
-        // router picks. The watched lane is included too — telemetry
-        // must never change the bytes.
+        // digest identically before any number is reported. The watched
+        // lane is included too — telemetry must never change the bytes.
         let per_event_digest = digest_per_event(&config, &frames)?;
         let batched_digest = digest_batched(&config, &frames)?;
         if per_event_digest != batched_digest {
             return Err(format!(
                 "lane divergence for {estimator}: per-event digest {per_event_digest:016x} \
                  != batched digest {batched_digest:016x}"
-            ));
-        }
-        let chunked_digest = digest_chunked(&config, &frames)?;
-        if chunked_digest != batched_digest {
-            return Err(format!(
-                "chunked-kernel divergence for {estimator}: chunked digest \
-                 {chunked_digest:016x} != batched digest {batched_digest:016x}"
             ));
         }
         let watched_digest = digest_watched(&config, &frames, &reference)?;
@@ -321,14 +281,12 @@ pub fn run_at_sweep(
             events.len(),
             best_of(PASSES, || wire_metered(&config, &frames, &metrics)),
         );
-        let passes = pipeline_breakdown(&config, &batches);
         rows.push(HotpathRow {
             estimator,
             pipeline,
             wire,
             wire_watch_eps,
             wire_metrics_eps,
-            passes,
         });
     }
 
@@ -405,79 +363,6 @@ fn pipeline_batched(config: &OnlineConfig, batches: &[EventBatch]) -> Duration {
         std::hint::black_box(&out);
     }
     t0.elapsed()
-}
-
-/// Wall-time accumulator behind the per-pass breakdown: two `Instant`
-/// reads per pass per chunk, which is why probed runs are separate from
-/// the headline timings.
-///
-/// Spans land in the same log-linear [`HistogramSnapshot`] the serve
-/// metric plane and `paco-load`'s streaming latency use — the breakdown
-/// reads the sums, and the full per-chunk span distribution rides along
-/// for anyone holding the probe.
-#[derive(Debug, Default)]
-struct TimingProbe {
-    predict: HistogramSnapshot,
-    train: HistogramSnapshot,
-    estimator: HistogramSnapshot,
-}
-
-impl TimingProbe {
-    /// Attributed nanoseconds across all three passes (wrapping, like
-    /// every histogram sum; a probe lives far short of a wrap).
-    fn total_ns(&self) -> u64 {
-        self.predict
-            .sum()
-            .wrapping_add(self.train.sum())
-            .wrapping_add(self.estimator.sum())
-    }
-}
-
-impl PassProbe for TimingProbe {
-    #[inline]
-    fn span<R>(&mut self, pass: HotPass, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        let ns = t0.elapsed().as_nanos() as u64;
-        match pass {
-            HotPass::Predict => self.predict.record(ns),
-            HotPass::Train => self.train.record(ns),
-            HotPass::Estimator => self.estimator.record(ns),
-        }
-        r
-    }
-}
-
-/// Times the batched pipeline lane with a [`TimingProbe`] attached,
-/// best of [`PASSES`] by attributed total, averaged per frame.
-fn pipeline_breakdown(config: &OnlineConfig, batches: &[EventBatch]) -> PassBreakdown {
-    let cap = batches.first().map_or(0, EventBatch::len);
-    let mut best: Option<TimingProbe> = None;
-    for _ in 0..PASSES.max(1) {
-        let mut pipe = OnlinePipeline::new(config);
-        let mut out = OutcomeBatch::with_capacity(cap);
-        let mut probe = TimingProbe::default();
-        for batch in batches {
-            out.clear();
-            pipe.run_batch_probed(batch, &mut out, &mut probe);
-            std::hint::black_box(&out);
-        }
-        let better = match &best {
-            Some(b) => probe.total_ns() < b.total_ns(),
-            None => true,
-        };
-        if better {
-            best = Some(probe);
-        }
-    }
-    let probe = best.unwrap_or_default();
-    let frames = batches.len().max(1) as f64;
-    let us = |h: &HistogramSnapshot| h.sum() as f64 / 1e3 / frames;
-    PassBreakdown {
-        predict_us: us(&probe.predict),
-        train_us: us(&probe.train),
-        estimator_us: us(&probe.estimator),
-    }
 }
 
 /// Digest of the raw outcome stream (flags, scores, probability bits)
@@ -625,26 +510,6 @@ fn digest_batched(config: &OnlineConfig, frames: &[Vec<u8>]) -> Result<u64, Stri
     Ok(digest.value())
 }
 
-/// Same stream through the chunked data-parallel kernel
-/// (`run_batch_probed` with [`NoProbe`]) — the kernel the per-pass
-/// breakdown instruments must stay byte-identical to the fused lane.
-fn digest_chunked(config: &OnlineConfig, frames: &[Vec<u8>]) -> Result<u64, String> {
-    let mut pipe = OnlinePipeline::new(config);
-    let mut batch = EventBatch::new();
-    let mut out = OutcomeBatch::new();
-    let mut payload = Vec::new();
-    let mut digest = Digest::new();
-    for frame in frames {
-        decode_events_into(frame, &mut batch).map_err(|e| e.to_string())?;
-        out.clear();
-        pipe.run_batch_probed(&batch, &mut out, &mut NoProbe);
-        payload.clear();
-        encode_outcomes_into(&mut payload, &out);
-        digest.update(&payload);
-    }
-    Ok(digest.value())
-}
-
 /// Same stream through the metered loop — recording into a live metric
 /// plane must never change the prediction bytes.
 fn digest_metered(
@@ -736,20 +601,6 @@ pub fn render_text(report: &HotpathReport) -> String {
     }
     out.push_str(&format!("{}\n", table.render()));
 
-    out.push_str("per-pass breakdown of the batched lane (probed run, us/frame):\n");
-    let mut passes = Table::new(&["estimator", "predict", "train", "estimator pass", "total"]);
-    for row in &report.rows {
-        let p = &row.passes;
-        passes.row_owned(vec![
-            row.estimator.clone(),
-            format!("{:.1}", p.predict_us),
-            format!("{:.1}", p.train_us),
-            format!("{:.1}", p.estimator_us),
-            format!("{:.1}", p.predict_us + p.train_us + p.estimator_us),
-        ]);
-    }
-    out.push_str(&format!("{}\n", passes.render()));
-
     if !report.sweep.is_empty() {
         out.push_str("speedup vs batch size (batched pipeline lane):\n");
         let mut sweep = Table::new(&["batch", "estimator", "batched (ev/s)", "speedup"]);
@@ -801,7 +652,6 @@ pub fn render_json(report: &HotpathReport) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"pipeline\":{},\"wire\":{},\"wire_watch_eps\":{:.0},\
              \"watch_overhead\":{:.4},\"wire_metrics_eps\":{:.0},\"metrics_overhead\":{:.4},\
-             \"passes\":{{\"predict_us\":{:.2},\"train_us\":{:.2},\"estimator_us\":{:.2}}},\
              \"parity\":true}}",
             row.estimator,
             lane(&row.pipeline),
@@ -810,9 +660,6 @@ pub fn render_json(report: &HotpathReport) -> String {
             row.watch_overhead(),
             row.wire_metrics_eps,
             row.metrics_overhead(),
-            row.passes.predict_us,
-            row.passes.train_us,
-            row.passes.estimator_us,
         ));
     }
     out.push_str("],\"sweep\":[");
@@ -858,14 +705,9 @@ mod tests {
             // load.
             assert!(row.wire_watch_eps > 0.0);
             assert!(row.wire_metrics_eps > 0.0);
-            // The probed run attributes real time to every pass.
-            assert!(row.passes.predict_us > 0.0);
-            assert!(row.passes.train_us > 0.0);
-            assert!(row.passes.estimator_us > 0.0);
         }
         let text = render_text(&report);
         assert!(text.contains("hotpath"));
-        assert!(text.contains("per-pass breakdown"));
         for row in &report.rows {
             assert!(text.contains(&row.estimator), "missing {}", row.estimator);
         }
@@ -877,7 +719,9 @@ mod tests {
         assert!(json.contains("\"watch_overhead\":"));
         assert!(json.contains("\"wire_metrics_eps\":"));
         assert!(json.contains("\"metrics_overhead\":"));
-        assert!(json.contains("\"passes\":{\"predict_us\":"));
+        for row in &report.rows {
+            assert!(json.contains(&format!("\"name\":\"{}\"", row.estimator)));
+        }
         assert!(json.contains("\"parity\":true"));
         assert!(json.contains("\"sweep\":[]"));
     }

@@ -88,75 +88,6 @@ impl BimodalPredictor {
         self.table.train(self.index(pc_hash), taken)
     }
 
-    /// The table index for a PC hash (see
-    /// [`GsharePredictor::index_hashed`](crate::GsharePredictor::index_hashed)
-    /// for the index-cache pattern this serves).
-    #[inline]
-    pub fn index_hashed(&self, pc_hash: u64) -> u32 {
-        self.index(pc_hash) as u32
-    }
-
-    /// Lane predict: caches each lane's table index in `idx_out` and
-    /// returns the packed predictions via the SWAR gather
-    /// [`CounterTable::predict_hashed_n`]. The packed result is only
-    /// order-exact when no lane's counter is trained mid-lane; the index
-    /// cache is always valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree or exceed 64 lanes.
-    pub fn predict_hashed_n(&self, pc_hashes: &[u64], idx_out: &mut [u32]) -> u64 {
-        assert_eq!(pc_hashes.len(), idx_out.len());
-        for (idx, &h) in idx_out.iter_mut().zip(pc_hashes) {
-            *idx = self.index(h) as u32;
-        }
-        self.table.predict_hashed_n(idx_out)
-    }
-
-    /// Packed predictions from already-cached indices (the gather half of
-    /// [`predict_hashed_n`](Self::predict_hashed_n); same order-exactness
-    /// caveat).
-    #[inline]
-    pub fn predict_cached_n(&self, idxs: &[u32]) -> u64 {
-        self.table.predict_hashed_n(idxs)
-    }
-
-    /// Lane train: applies [`train_hashed`](Self::train_hashed) to up to
-    /// 64 PC-hash lanes in order (outcome `j` in bit `j` of `takens`),
-    /// returning packed pre-update predictions. Sequential per lane so
-    /// duplicate indices observe each other, branchless per counter.
-    pub fn train_hashed_n(&mut self, pc_hashes: &[u64], takens: u64) -> u64 {
-        assert!(pc_hashes.len() <= 64, "at most 64 lanes per packed train");
-        let mut predictions = 0u64;
-        for (j, &h) in pc_hashes.iter().enumerate() {
-            let taken = takens >> j & 1 != 0;
-            let pre = self.table.train_branchless(self.index(h), taken);
-            predictions |= (pre as u64) << j;
-        }
-        predictions
-    }
-
-    /// [`predict_hashed`](Self::predict_hashed) from a cached index —
-    /// the order-exact per-event read used between trains.
-    #[inline]
-    pub fn predict_at(&self, idx: u32) -> bool {
-        self.table.msb(idx as usize)
-    }
-
-    /// [`train_hashed`](Self::train_hashed) from a cached index, using
-    /// the branchless counter update.
-    #[inline]
-    pub fn train_at(&mut self, idx: u32, taken: bool) -> bool {
-        self.table.train_branchless(idx as usize, taken)
-    }
-
-    /// Prefetches the cache line holding the counter at a cached index
-    /// (no-op off x86-64 and under Miri).
-    #[inline]
-    pub fn prefetch(&self, idx: u32) {
-        self.table.prefetch(idx as usize);
-    }
-
     /// Appends the predictor's table state (for session snapshots).
     pub fn save_state(&self, out: &mut Vec<u8>) {
         self.table.save_state(out);

@@ -262,67 +262,6 @@ impl MdcTable {
         }
     }
 
-    /// Lane fetch setup: caches, for each `(pc_hash, history)` lane, the
-    /// *pair* of candidate indices — predicted-not-taken in
-    /// `not_taken_idx`, predicted-taken in `taken_idx`.
-    ///
-    /// The predicted direction participates in the enhanced-JRS index,
-    /// but the chunked hot path computes directions only inside the
-    /// order-exact table pass. Precomputing both candidates keeps the
-    /// index math in the vectorizable setup pass; the table pass then
-    /// selects one candidate per event with a branchless pick and a
-    /// single counter read ([`fetch_at`](Self::fetch_at)). In the
-    /// classic (non-enhanced) configuration the two candidates are
-    /// identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree.
-    #[inline]
-    pub fn index_pair_hashed_n(
-        &self,
-        pc_hashes: &[u64],
-        histories: &[u64],
-        not_taken_idx: &mut [MdcIndex],
-        taken_idx: &mut [MdcIndex],
-    ) {
-        assert_eq!(pc_hashes.len(), histories.len());
-        assert_eq!(pc_hashes.len(), not_taken_idx.len());
-        assert_eq!(pc_hashes.len(), taken_idx.len());
-        let flip = (self.enhanced as u64) << 5;
-        for (j, (&h, &hist)) in pc_hashes.iter().zip(histories).enumerate() {
-            let base = h ^ (hist & self.history_mask);
-            not_taken_idx[j] = MdcIndex((base & self.mask) as usize);
-            taken_idx[j] = MdcIndex(((base ^ flip) & self.mask) as usize);
-        }
-    }
-
-    /// [`fetch_hashed`](Self::fetch_hashed) from candidate indices cached
-    /// by [`index_pair_hashed_n`](Self::index_pair_hashed_n): picks the
-    /// candidate matching `predicted_taken` (branchless) and reads it —
-    /// the order-exact per-event MDC read between resolve-time updates.
-    #[inline]
-    pub fn fetch_at(
-        &self,
-        not_taken_idx: MdcIndex,
-        taken_idx: MdcIndex,
-        predicted_taken: bool,
-    ) -> (MdcIndex, Mdc) {
-        let sel = predicted_taken as usize;
-        // Branchless two-way pick: both candidates are already computed.
-        let idx = MdcIndex(taken_idx.0 * sel + not_taken_idx.0 * (1 - sel));
-        (idx, Mdc(self.counters.value(idx.0)))
-    }
-
-    /// Prefetches the cache lines of both candidate entries for one lane
-    /// (no-op off x86-64 and under Miri). The enhanced-JRS candidates
-    /// differ only in bit 5 of the index, so they usually share a line.
-    #[inline]
-    pub fn prefetch_at(&self, not_taken_idx: MdcIndex, taken_idx: MdcIndex) {
-        self.counters.prefetch(not_taken_idx.0);
-        self.counters.prefetch(taken_idx.0);
-    }
-
     /// Number of table entries.
     pub fn entries(&self) -> usize {
         self.counters.len()
@@ -413,34 +352,5 @@ mod tests {
     #[should_panic(expected = "0..=15")]
     fn mdc_rejects_out_of_range() {
         let _ = Mdc::new(16);
-    }
-
-    #[test]
-    fn cached_index_pair_matches_fetch_hashed() {
-        for cfg in [
-            ConfidenceConfig::tiny(),
-            ConfidenceConfig::jrs_classic(),
-            ConfidenceConfig::paper(),
-        ] {
-            let mut t = MdcTable::new(cfg);
-            // Unbalance the table so reads are distinguishable.
-            for i in 0..512u64 {
-                let idx = t.index_hashed(i.wrapping_mul(0x9e37_79b9), i & 0xff, i % 2 == 0);
-                t.update(idx, i % 5 != 0);
-            }
-            let pc_hashes: Vec<u64> = (0..24u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-            let histories: Vec<u64> = (0..24u64).map(|i| (i * 7) & 0xff).collect();
-            let n = pc_hashes.len();
-            let mut nt = vec![MdcIndex::default(); n];
-            let mut tk = vec![MdcIndex::default(); n];
-            t.index_pair_hashed_n(&pc_hashes, &histories, &mut nt, &mut tk);
-            for j in 0..n {
-                for predicted in [false, true] {
-                    let scalar = t.fetch_hashed(pc_hashes[j], histories[j], predicted);
-                    assert_eq!(t.fetch_at(nt[j], tk[j], predicted), scalar, "lane {j}");
-                }
-                t.prefetch_at(nt[j], tk[j]); // must never panic
-            }
-        }
     }
 }

@@ -223,129 +223,6 @@ impl CounterTable {
         predicted
     }
 
-    /// Packed lane predict: the [`msb`](Self::msb) of up to 64 counters,
-    /// bit `j` of the result answering for `idxs[j]`.
-    ///
-    /// Counter bytes are gathered eight at a time into a `u64` and
-    /// compared against the msb threshold with branchless SWAR byte
-    /// arithmetic — no per-lane branches, no per-lane bounds checks
-    /// beyond the gather loads. The result is only meaningful if no
-    /// counter in `idxs` is trained between the gather and its use;
-    /// callers that interleave reads with training (the in-flight-window
-    /// hot path in steady state) must fall back to per-event
-    /// [`msb`](Self::msb)
-    /// reads to stay order-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idxs` holds more than 64 indices or any index is out
-    /// of range.
-    #[inline]
-    pub fn predict_hashed_n(&self, idxs: &[u32]) -> u64 {
-        assert!(idxs.len() <= 64, "at most 64 lanes per packed predict");
-        const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-        const MSB: u64 = 0x8080_8080_8080_8080;
-        const ONES: u64 = 0x0101_0101_0101_0101;
-        // Per-byte `x > t` for t <= 127: the biased low-7-bit add carries
-        // into the MSB exactly when the low bits exceed t, and OR-ing the
-        // original value keeps bytes that were already >= 128.
-        let bias = (0x7f - self.msb_threshold as u64) * ONES;
-        let mut mask = 0u64;
-        let mut lane = 0u32;
-        let mut chunks = idxs.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut x = 0u64;
-            for (k, &i) in chunk.iter().enumerate() {
-                x |= (self.values[i as usize] as u64) << (8 * k);
-            }
-            let gt = (((x & LO7) + bias) | x) & MSB;
-            // Movemask: collapse the eight result MSBs into eight bits.
-            let bits = ((gt >> 7) & ONES).wrapping_mul(0x0102_0408_1020_4080) >> 56;
-            mask |= bits << lane;
-            lane += 8;
-        }
-        for &i in chunks.remainder() {
-            mask |= ((self.values[i as usize] > self.msb_threshold) as u64) << lane;
-            lane += 1;
-        }
-        mask
-    }
-
-    /// Packed lane train: applies [`train`](Self::train) to up to 64
-    /// counters in lane order, reading outcome `j` from bit `j` of
-    /// `takens` and returning the pre-update predictions packed the same
-    /// way.
-    ///
-    /// Each lane runs the branchless saturating update (no data-dependent
-    /// branches), but lanes are applied **sequentially**: duplicate
-    /// indices within one call must observe each other's updates exactly
-    /// as the scalar spelling would, which rules out a packed
-    /// scatter-modify-write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idxs` holds more than 64 indices or any index is out
-    /// of range.
-    pub fn train_hashed_n(&mut self, idxs: &[u32], takens: u64) -> u64 {
-        assert!(idxs.len() <= 64, "at most 64 lanes per packed train");
-        let mut predictions = 0u64;
-        for (j, &i) in idxs.iter().enumerate() {
-            let taken = takens >> j & 1 != 0;
-            predictions |= (self.train_branchless(i as usize, taken) as u64) << j;
-        }
-        predictions
-    }
-
-    /// The branchless spelling of [`train`](Self::train): same pre-update
-    /// prediction, same saturating update, no data-dependent branches.
-    /// The packed lane APIs use this so a mispredict-heavy outcome mix
-    /// cannot stall the train pass on branch mispredicts; equivalence
-    /// with `train` over the full `(width, value, outcome)` domain is
-    /// pinned by a unit test.
-    #[inline]
-    pub fn train_branchless(&mut self, idx: usize, taken: bool) -> bool {
-        let v = self.values[idx];
-        let predicted = v > self.msb_threshold;
-        let inc = (taken & (v < self.max)) as u8;
-        let dec = (!taken & (v > 0)) as u8;
-        self.values[idx] = v + inc - dec;
-        predicted
-    }
-
-    /// Best-effort prefetch of the cache line holding counter `idx`.
-    ///
-    /// On x86-64 this issues a `prefetcht0` hint for the line so a later
-    /// read or train finds it resident; everywhere else (and under Miri,
-    /// which has no model for prefetch) it is a no-op. Out-of-range
-    /// indices are ignored — a prefetch is advisory and must never
-    /// panic.
-    #[inline]
-    pub fn prefetch(&self, idx: usize) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            if let Some(v) = self.values.get(idx) {
-                // SAFETY: the pointer derives from a live reference and
-                // prefetch reads nothing — it is purely a cache hint.
-                unsafe { _mm_prefetch((v as *const u8).cast::<i8>(), _MM_HINT_T0) };
-            }
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        {
-            let _ = idx;
-        }
-    }
-
-    /// Test-only direct counter write; `false` if `v` exceeds the width.
-    #[cfg(test)]
-    fn set_value_for_test(&mut self, idx: usize, v: u8) -> bool {
-        if v > self.max {
-            return false;
-        }
-        self.values[idx] = v;
-        true
-    }
-
     /// Appends the raw counter values (length prefix + one byte per
     /// counter) — the shared snapshot encoding for every table-based
     /// predictor in this crate.
@@ -421,72 +298,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn rejects_bad_initial() {
         let _ = SaturatingCounter::new(2, 4);
-    }
-
-    #[test]
-    fn packed_predict_matches_scalar_msb() {
-        // Every counter width, a value mix covering both sides of the
-        // threshold, and lane counts that exercise the SWAR body and the
-        // remainder loop.
-        for bits in 1..=8u32 {
-            let max = ((1u16 << bits) - 1) as u8;
-            let mut t = CounterTable::new(bits, 0, 97);
-            for i in 0..t.len() {
-                let v = ((i as u32 * 37 + bits) % (max as u32 + 1)) as u8;
-                assert!(t.set_value_for_test(i, v));
-            }
-            for n in [0usize, 1, 7, 8, 9, 16, 31, 64] {
-                let idxs: Vec<u32> = (0..n).map(|j| ((j * 13 + 5) % t.len()) as u32).collect();
-                let packed = t.predict_hashed_n(&idxs);
-                for (j, &i) in idxs.iter().enumerate() {
-                    assert_eq!(
-                        packed >> j & 1 != 0,
-                        t.msb(i as usize),
-                        "bits={bits} lane={j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn branchless_train_is_train() {
-        // Exhaustive over (width, starting value, outcome): the branchless
-        // core must be indistinguishable from the branching spelling.
-        for bits in 1..=8u32 {
-            let max = ((1u16 << bits) - 1) as u8;
-            for v in 0..=max {
-                for taken in [false, true] {
-                    let mut a = CounterTable::new(bits, 0, 1);
-                    let mut b = CounterTable::new(bits, 0, 1);
-                    assert!(a.set_value_for_test(0, v));
-                    assert!(b.set_value_for_test(0, v));
-                    assert_eq!(a.train(0, taken), b.train_branchless(0, taken));
-                    assert_eq!(a.value(0), b.value(0), "bits={bits} v={v} taken={taken}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_train_applies_lanes_in_order() {
-        // Duplicate indices in one call: lane order must be observed
-        // (two increments on the same counter stack, as scalar code
-        // would produce).
-        let mut t = CounterTable::new(2, 1, 8);
-        let idxs = [3u32, 3, 3, 5];
-        let pre = t.train_hashed_n(&idxs, 0b0111);
-        assert_eq!(pre & 1, 0, "first lane sees the original weak value");
-        assert_eq!(pre >> 2 & 1, 1, "third lane sees two stacked increments");
-        assert_eq!(t.value(3), 3);
-        assert_eq!(t.value(5), 0);
-    }
-
-    #[test]
-    fn prefetch_accepts_any_index() {
-        let t = CounterTable::new(2, 1, 4);
-        t.prefetch(0);
-        t.prefetch(3);
-        t.prefetch(4_000_000); // out of range: ignored, never panics
     }
 }

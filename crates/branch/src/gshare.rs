@@ -107,91 +107,6 @@ impl GsharePredictor {
         self.table.train(self.index(pc_hash, history), taken)
     }
 
-    /// The table index for a `(pc_hash, history)` pair.
-    ///
-    /// Exposed for the chunked hot path, which precomputes a lane of
-    /// indices once (index math is pure and vectorizes), then feeds
-    /// per-event reads ([`predict_at`](Self::predict_at)), trains
-    /// ([`train_at`](Self::train_at)) and prefetches
-    /// ([`prefetch`](Self::prefetch)) from the cached values.
-    #[inline]
-    pub fn index_hashed(&self, pc_hash: u64, history: u64) -> u32 {
-        self.index(pc_hash, history) as u32
-    }
-
-    /// Lane predict: computes the table index for each `(pc_hash,
-    /// history)` lane into `idx_out` and returns the packed predictions
-    /// (bit `j` answers for lane `j`) via the SWAR gather
-    /// [`CounterTable::predict_hashed_n`].
-    ///
-    /// The packed predictions are only order-exact if no lane's counter
-    /// is trained mid-lane; the index cache in `idx_out` is always
-    /// valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree or exceed 64 lanes.
-    pub fn predict_hashed_n(
-        &self,
-        pc_hashes: &[u64],
-        histories: &[u64],
-        idx_out: &mut [u32],
-    ) -> u64 {
-        assert_eq!(pc_hashes.len(), histories.len());
-        assert_eq!(pc_hashes.len(), idx_out.len());
-        for ((idx, &h), &hist) in idx_out.iter_mut().zip(pc_hashes).zip(histories) {
-            *idx = self.index(h, hist) as u32;
-        }
-        self.table.predict_hashed_n(idx_out)
-    }
-
-    /// Packed predictions from already-cached indices (the gather half of
-    /// [`predict_hashed_n`](Self::predict_hashed_n); same order-exactness
-    /// caveat).
-    #[inline]
-    pub fn predict_cached_n(&self, idxs: &[u32]) -> u64 {
-        self.table.predict_hashed_n(idxs)
-    }
-
-    /// Lane train: applies [`train_hashed`](Self::train_hashed) to up to
-    /// 64 `(pc_hash, history)` lanes in order (outcome `j` in bit `j` of
-    /// `takens`), returning the packed pre-update predictions.
-    /// Sequential per lane — duplicate indices must observe each other —
-    /// with the branchless counter update per lane.
-    pub fn train_hashed_n(&mut self, pc_hashes: &[u64], histories: &[u64], takens: u64) -> u64 {
-        assert_eq!(pc_hashes.len(), histories.len());
-        assert!(pc_hashes.len() <= 64, "at most 64 lanes per packed train");
-        let mut predictions = 0u64;
-        for (j, (&h, &hist)) in pc_hashes.iter().zip(histories).enumerate() {
-            let taken = takens >> j & 1 != 0;
-            let pre = self.table.train_branchless(self.index(h, hist), taken);
-            predictions |= (pre as u64) << j;
-        }
-        predictions
-    }
-
-    /// [`predict_hashed`](Self::predict_hashed) from an index cached by
-    /// [`index_hashed`](Self::index_hashed) — the order-exact per-event
-    /// read the chunked hot path uses between trains.
-    #[inline]
-    pub fn predict_at(&self, idx: u32) -> bool {
-        self.table.msb(idx as usize)
-    }
-
-    /// [`train_hashed`](Self::train_hashed) from a cached index, using
-    /// the branchless counter update.
-    #[inline]
-    pub fn train_at(&mut self, idx: u32, taken: bool) -> bool {
-        self.table.train_branchless(idx as usize, taken)
-    }
-
-    /// Prefetches the cache line holding the counter at a cached index
-    /// (no-op off x86-64 and under Miri).
-    #[inline]
-    pub fn prefetch(&self, idx: u32) {
-        self.table.prefetch(idx as usize);
-    }
-
     /// Appends the predictor's table state (for session snapshots).
     pub fn save_state(&self, out: &mut Vec<u8>) {
         self.table.save_state(out);

@@ -33,6 +33,7 @@
 //! assert!(pred.predict(pc, 0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

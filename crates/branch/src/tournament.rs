@@ -114,13 +114,6 @@ impl TournamentPredictor {
         TournamentPredictor::new(TournamentConfig::paper())
     }
 
-    /// Host-memory footprint of the three component tables in bytes (one
-    /// byte per counter) — what a cache-residency decision should look
-    /// at, as opposed to the hardware bit budget.
-    pub fn host_bytes(&self) -> usize {
-        self.gshare.entries() + self.bimodal.entries() + self.selector.len()
-    }
-
     #[inline]
     fn selector_index(&self, pc_hash: u64, history: u64) -> usize {
         let hist_mask = if self.history_bits == 64 {
@@ -169,122 +162,6 @@ impl TournamentPredictor {
                 self.selector.decrement(idx);
             }
         }
-    }
-
-    /// Lane predict: caches every component index for each `(pc_hash,
-    /// history)` lane in `gshare_idx`/`bimodal_idx`/`selector_idx` and
-    /// returns the packed tournament predictions, selecting between the
-    /// packed gshare and bimodal answers with bitwise lane masks (no
-    /// per-lane branch).
-    ///
-    /// The index caches are always valid and are what the chunked hot
-    /// path consumes: per-event reads via [`predict_at`](Self::predict_at)
-    /// between trains (order-exact), prefetches via
-    /// [`prefetch_at`](Self::prefetch_at). The packed predictions are
-    /// only order-exact when no counter involved is trained mid-lane —
-    /// e.g. while the in-flight window is still filling and no resolves
-    /// are due.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree or exceed 64 lanes.
-    pub fn predict_hashed_n(
-        &self,
-        pc_hashes: &[u64],
-        histories: &[u64],
-        gshare_idx: &mut [u32],
-        bimodal_idx: &mut [u32],
-        selector_idx: &mut [u32],
-    ) -> u64 {
-        self.cache_indices(pc_hashes, histories, gshare_idx, bimodal_idx, selector_idx);
-        self.predict_cached_n(gshare_idx, bimodal_idx, selector_idx)
-    }
-
-    /// Fills the three component index caches for each `(pc_hash,
-    /// history)` lane — the pure half of
-    /// [`predict_hashed_n`](Self::predict_hashed_n). Index math touches
-    /// no counter state, so the chunked hot path runs this (and the
-    /// prefetches it feeds) a full chunk ahead of the reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree.
-    #[inline]
-    pub fn cache_indices(
-        &self,
-        pc_hashes: &[u64],
-        histories: &[u64],
-        gshare_idx: &mut [u32],
-        bimodal_idx: &mut [u32],
-        selector_idx: &mut [u32],
-    ) {
-        assert_eq!(pc_hashes.len(), histories.len());
-        assert_eq!(pc_hashes.len(), gshare_idx.len());
-        assert_eq!(pc_hashes.len(), bimodal_idx.len());
-        assert_eq!(pc_hashes.len(), selector_idx.len());
-        for (j, (&h, &hist)) in pc_hashes.iter().zip(histories).enumerate() {
-            gshare_idx[j] = self.gshare.index_hashed(h, hist);
-            bimodal_idx[j] = self.bimodal.index_hashed(h);
-            selector_idx[j] = self.selector_index(h, hist) as u32;
-        }
-    }
-
-    /// The packed-gather half of
-    /// [`predict_hashed_n`](Self::predict_hashed_n): packed tournament
-    /// predictions from already-cached component indices, via the SWAR
-    /// gather [`CounterTable::predict_hashed_n`] on each component and a
-    /// bitwise lane select. Only order-exact when no counter involved is
-    /// trained mid-lane (see `predict_hashed_n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths disagree or exceed 64 lanes.
-    #[inline]
-    pub fn predict_cached_n(
-        &self,
-        gshare_idx: &[u32],
-        bimodal_idx: &[u32],
-        selector_idx: &[u32],
-    ) -> u64 {
-        assert_eq!(gshare_idx.len(), bimodal_idx.len());
-        assert_eq!(gshare_idx.len(), selector_idx.len());
-        let g = self.gshare.predict_cached_n(gshare_idx);
-        let b = self.bimodal.predict_cached_n(bimodal_idx);
-        let s = self.selector.predict_hashed_n(selector_idx);
-        (g & s) | (b & !s)
-    }
-
-    /// Lane train: applies [`update_hashed`](Self::update_hashed) to up
-    /// to 64 lanes in order (outcome `j` in bit `j` of `takens`).
-    /// Sequential per lane — colliding component entries must observe
-    /// each other's updates exactly as the scalar spelling would.
-    pub fn train_hashed_n(&mut self, pc_hashes: &[u64], histories: &[u64], takens: u64) {
-        assert_eq!(pc_hashes.len(), histories.len());
-        assert!(pc_hashes.len() <= 64, "at most 64 lanes per packed train");
-        for (j, (&h, &hist)) in pc_hashes.iter().zip(histories).enumerate() {
-            self.update_hashed(h, hist, takens >> j & 1 != 0);
-        }
-    }
-
-    /// [`predict_hashed`](Self::predict_hashed) from component indices
-    /// cached by [`predict_hashed_n`](Self::predict_hashed_n) — the
-    /// order-exact per-event read the chunked hot path issues between
-    /// resolve-time trains. The select is branchless.
-    #[inline]
-    pub fn predict_at(&self, gshare_idx: u32, bimodal_idx: u32, selector_idx: u32) -> bool {
-        let g = self.gshare.predict_at(gshare_idx);
-        let b = self.bimodal.predict_at(bimodal_idx);
-        let s = self.selector.msb(selector_idx as usize);
-        (g & s) | (b & !s)
-    }
-
-    /// Prefetches the three component cache lines for one lane of cached
-    /// indices (no-op off x86-64 and under Miri).
-    #[inline]
-    pub fn prefetch_at(&self, gshare_idx: u32, bimodal_idx: u32, selector_idx: u32) {
-        self.gshare.prefetch(gshare_idx);
-        self.bimodal.prefetch(bimodal_idx);
-        self.selector.prefetch(selector_idx as usize);
     }
 
     /// The two component predictions `(gshare, bimodal)` for inspection.
@@ -412,49 +289,6 @@ mod tests {
         // Truncation fails too.
         let mut small = TournamentPredictor::new(TournamentConfig::tiny());
         assert!(!small.load_state(&mut &blob[..blob.len() / 2]));
-    }
-
-    #[test]
-    fn lane_predict_matches_scalar_on_quiet_tables() {
-        let mut p = TournamentPredictor::new(TournamentConfig::tiny());
-        // Train a varied state first, then compare lane vs scalar reads
-        // with no interleaved trains (the regime the packed result is
-        // specified for).
-        for i in 0..4096u64 {
-            let h = (i * 29) & 0xff;
-            p.update_hashed(i.wrapping_mul(0x9e37_79b9), h, i % 3 == 0);
-        }
-        let pc_hashes: Vec<u64> = (0..37u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let histories: Vec<u64> = (0..37u64).map(|i| (i * 29) & 0xff).collect();
-        let n = pc_hashes.len();
-        let (mut g, mut b, mut s) = (vec![0u32; n], vec![0u32; n], vec![0u32; n]);
-        let packed = p.predict_hashed_n(&pc_hashes, &histories, &mut g, &mut b, &mut s);
-        for j in 0..n {
-            let scalar = p.predict_hashed(pc_hashes[j], histories[j]);
-            assert_eq!(packed >> j & 1 != 0, scalar, "lane {j}");
-            assert_eq!(p.predict_at(g[j], b[j], s[j]), scalar, "cached lane {j}");
-            p.prefetch_at(g[j], b[j], s[j]); // must never panic
-        }
-    }
-
-    #[test]
-    fn lane_train_matches_scalar_updates() {
-        let mut a = TournamentPredictor::new(TournamentConfig::tiny());
-        let mut b = TournamentPredictor::new(TournamentConfig::tiny());
-        // Deliberately colliding pc hashes: lane order must match the
-        // scalar sequential order.
-        let pc_hashes: Vec<u64> = (0..16u64).map(|i| (i % 3).wrapping_mul(0x51ed)).collect();
-        let histories: Vec<u64> = (0..16u64).map(|i| i & 0xff).collect();
-        let takens = 0b1010_1100_0110_0101u64;
-        a.train_hashed_n(&pc_hashes, &histories, takens);
-        for (j, (&h, &hist)) in pc_hashes.iter().zip(&histories).enumerate() {
-            b.update_hashed(h, hist, takens >> j & 1 != 0);
-        }
-        let mut sa = Vec::new();
-        let mut sb = Vec::new();
-        a.save_state(&mut sa);
-        b.save_state(&mut sb);
-        assert_eq!(sa, sb, "packed and scalar training must converge");
     }
 
     #[test]

@@ -446,10 +446,6 @@ impl PathConfidenceEstimator for AdaptiveMrtPredictor {
         true
     }
 
-    // No on_chunk override: the default trait body replays the exact
-    // per-event sequence, so the chunked kernel lane is byte-identical
-    // to this per-event implementation by construction.
-
     fn name(&self) -> String {
         "AdaptiveMRT".to_string()
     }

@@ -144,54 +144,6 @@ impl std::fmt::Display for ConfidenceScore {
     }
 }
 
-/// One chunk of the batched hot path's estimator work: the per-event
-/// inputs for a run of consecutive control events, pre-staged by the
-/// pipeline's table pass so the estimator pass can consume the whole
-/// chunk in one monomorphized call
-/// ([`PathConfidenceEstimator::on_chunk`]).
-///
-/// The resolve schedule is implicit and exact: event `j` performs one
-/// resolve iff `j >= first_resolve_event`; resolve `r = j -
-/// first_resolve_event` surrenders `window_resolves[r]` while `r` is in
-/// range (branches that entered the in-flight window before this chunk)
-/// and after that the token of in-chunk event `r - window_resolves.len()`
-/// (which the estimator itself produced earlier in the chunk). This is
-/// byte-for-byte the schedule the per-event reference produces with a
-/// `resolve_lag`-deep window.
-#[derive(Debug)]
-pub struct EstimatorChunk<'a> {
-    /// Fetch-time info for each event, in order. The MDC values inside
-    /// were read by the table pass at exactly the per-event points.
-    pub fetch: &'a [BranchFetchInfo],
-    /// Whether each event's *own* branch was mispredicted — consumed
-    /// when that branch resolves in-chunk (`false` for non-conditional
-    /// events, matching the reference resolve).
-    pub mispredicted: &'a [bool],
-    /// `(token, mispredicted)` for resolves that surrender pre-chunk
-    /// window entries, in pop (oldest-first) order.
-    pub window_resolves: &'a [(BranchToken, bool)],
-    /// The first event index that performs a resolve (events before it
-    /// only fill the still-warming window).
-    pub first_resolve_event: usize,
-    /// Cycles ticked after each event.
-    pub ticks: u64,
-}
-
-/// Where [`PathConfidenceEstimator::on_chunk`] writes its per-event
-/// outputs. All slices have the chunk's length.
-#[derive(Debug)]
-pub struct ChunkOut<'a> {
-    /// The token fetched for each event (the caller windows these).
-    pub tokens: &'a mut [BranchToken],
-    /// [`score`](PathConfidenceEstimator::score) after each fetch.
-    pub scores: &'a mut [u64],
-    /// IEEE-754 bits of the goodpath probability after each fetch
-    /// (meaningful only where `has_prob` is set).
-    pub probs: &'a mut [u64],
-    /// Whether the estimator produced a probability for each event.
-    pub has_prob: &'a mut [bool],
-}
-
 /// A path-confidence estimator: tracks the unresolved branches of one
 /// hardware thread and produces a confidence estimate for the current
 /// fetch path.
@@ -256,61 +208,6 @@ pub trait PathConfidenceEstimator: Send {
     fn load_state(&mut self, input: &mut &[u8]) -> bool {
         let _ = input;
         true
-    }
-
-    /// Processes one pre-staged chunk of consecutive events — the
-    /// estimator pass of the batched hot path.
-    ///
-    /// The default body replays the exact per-event sequence the
-    /// reference pipeline issues for each event —
-    /// [`on_fetch`](Self::on_fetch), [`score`](Self::score),
-    /// [`goodpath_probability`](Self::goodpath_probability), the due
-    /// [`on_resolve`](Self::on_resolve) per `chunk`'s schedule, then
-    /// [`tick`](Self::tick) — so every estimator is chunk-correct by
-    /// construction. Implementations may override it with a faster body
-    /// **only if the final state and every output stay bit-identical**;
-    /// the lane-parity suites enforce this against the per-event lane.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `out`'s slices are shorter than `chunk.fetch`.
-    fn on_chunk(&mut self, chunk: &EstimatorChunk<'_>, out: &mut ChunkOut<'_>) {
-        let n = chunk.fetch.len();
-        // Pinned lengths let the `< n` indexing below skip bounds checks.
-        assert!(
-            chunk.mispredicted.len() == n
-                && out.tokens.len() == n
-                && out.scores.len() == n
-                && out.probs.len() == n
-                && out.has_prob.len() == n
-        );
-        for (j, &info) in chunk.fetch.iter().enumerate() {
-            let token = self.on_fetch(info);
-            out.tokens[j] = token;
-            out.scores[j] = self.score().0;
-            match self.goodpath_probability() {
-                Some(p) => {
-                    out.probs[j] = p.value().to_bits();
-                    out.has_prob[j] = true;
-                }
-                None => {
-                    out.probs[j] = 0;
-                    out.has_prob[j] = false;
-                }
-            }
-            if j >= chunk.first_resolve_event {
-                let r = j - chunk.first_resolve_event;
-                let (token, mispredicted) = match chunk.window_resolves.get(r) {
-                    Some(&wr) => wr,
-                    None => {
-                        let i = r - chunk.window_resolves.len();
-                        (out.tokens[i], chunk.mispredicted[i])
-                    }
-                };
-                self.on_resolve(token, mispredicted);
-            }
-            self.tick(chunk.ticks);
-        }
     }
 
     /// A short human-readable name used in experiment output.

@@ -39,6 +39,7 @@
 //! assert_eq!(paco.goodpath_probability().unwrap().value(), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -46,7 +47,6 @@ mod adaptive;
 mod calculator;
 mod encoded;
 mod estimator;
-mod fastexp;
 mod log_circuit;
 mod mrt;
 mod paco_predictor;
@@ -56,10 +56,7 @@ mod variants;
 pub use adaptive::{AdaptiveMrtConfig, AdaptiveMrtPredictor};
 pub use calculator::PathConfidenceCalculator;
 pub use encoded::EncodedProb;
-pub use estimator::{
-    BranchFetchInfo, BranchToken, ChunkOut, ConfidenceScore, EstimatorChunk,
-    PathConfidenceEstimator,
-};
+pub use estimator::{BranchFetchInfo, BranchToken, ConfidenceScore, PathConfidenceEstimator};
 pub use log_circuit::{LogCircuit, LogMode};
 pub use mrt::{MispredictRateTable, MrtBucket};
 pub use paco_predictor::{PacoConfig, PacoPredictor};

@@ -1,8 +1,7 @@
 //! The full PaCo predictor: MRT + log circuit + path confidence calculator.
 
-use crate::estimator::{ChunkOut, EstimatorChunk};
 use crate::{
-    fastexp, BranchFetchInfo, BranchToken, ConfidenceScore, EncodedProb, LogCircuit, LogMode,
+    BranchFetchInfo, BranchToken, ConfidenceScore, EncodedProb, LogCircuit, LogMode,
     MispredictRateTable, PathConfidenceCalculator, PathConfidenceEstimator,
 };
 use paco_branch::Mdc;
@@ -236,83 +235,6 @@ impl PathConfidenceEstimator for PacoPredictor {
         true
     }
 
-    /// The chunked estimator pass, PaCo-specialized. Same per-event
-    /// sequence as the default body — fetch, score, probability, due
-    /// resolve, tick — with the one libm call replaced: the probability
-    /// decode goes through `fastexp::ProbDecoder`, which is bit-identical
-    /// to [`PathConfidenceCalculator::goodpath_probability`]'s `exp2`
-    /// over the whole register range (proven exhaustively in `fastexp`'s
-    /// tests). The per-event reference lane keeps calling the libm
-    /// spelling, so the parity suites cross-check the two on every run.
-    fn on_chunk(&mut self, chunk: &EstimatorChunk<'_>, out: &mut ChunkOut<'_>) {
-        let decoder = fastexp::ProbDecoder::new();
-        let n = chunk.fetch.len();
-        // Pinning every slice to the chunk length up front lets the
-        // indexing below (always `< n`) compile without bounds checks.
-        assert!(
-            chunk.mispredicted.len() == n
-                && out.tokens.len() == n
-                && out.scores.len() == n
-                && out.probs.len() == n
-                && out.has_prob.len() == n
-        );
-        // When the whole chunk cannot reach the refresh boundary — the
-        // overwhelmingly common case — the per-event tick bookkeeping
-        // collapses to one addition after the loop. Otherwise fall back
-        // to ticking per event so the refresh fires at its exact point.
-        let per_event_tick = match (chunk.ticks)
-            .checked_mul(n as u64)
-            .and_then(|c| c.checked_add(self.cycles_since_refresh))
-        {
-            Some(total) if total < self.refresh_period => {
-                self.cycles_since_refresh = total;
-                false
-            }
-            _ => true,
-        };
-        for (j, &info) in chunk.fetch.iter().enumerate() {
-            let token = match info.mdc {
-                Some(mdc) => {
-                    let enc = self.mrt.encoded(mdc);
-                    self.calculator.add(enc);
-                    BranchToken {
-                        encoded: enc.raw(),
-                        low_conf: false,
-                        mdc: Some(mdc),
-                        table_key: info.table_key,
-                    }
-                }
-                None => BranchToken::empty(),
-            };
-            out.tokens[j] = token;
-            let sum = self.calculator.encoded_sum();
-            out.scores[j] = sum;
-            out.probs[j] = decoder.prob_bits(sum);
-            out.has_prob[j] = true;
-            if j >= chunk.first_resolve_event {
-                let r = j - chunk.first_resolve_event;
-                let (token, mispredicted) = match chunk.window_resolves.get(r) {
-                    Some(&wr) => wr,
-                    None => {
-                        let i = r - chunk.window_resolves.len();
-                        (out.tokens[i], chunk.mispredicted[i])
-                    }
-                };
-                if let Some(mdc) = token.mdc {
-                    self.mrt.record(mdc, mispredicted);
-                    self.calculator.remove(EncodedProb::from_raw(token.encoded));
-                }
-            }
-            if per_event_tick {
-                self.cycles_since_refresh += chunk.ticks;
-                while self.cycles_since_refresh >= self.refresh_period {
-                    self.cycles_since_refresh -= self.refresh_period;
-                    self.do_refresh();
-                }
-            }
-        }
-    }
-
     fn name(&self) -> String {
         match self.circuit.mode() {
             LogMode::Mitchell => "PaCo".to_string(),
@@ -487,98 +409,6 @@ mod tests {
         short.save_state(&mut bad);
         let mut q = PacoPredictor::new(PacoConfig::paper().with_refresh_period(1));
         assert!(!q.load_state(&mut bad.as_slice()));
-    }
-
-    #[test]
-    fn chunk_override_matches_per_event_sequence() {
-        // Drive the specialized on_chunk and a manual replay of the
-        // per-event reference sequence through the same schedule —
-        // warm MRT, refresh crossings mid-chunk, window resolves and
-        // in-chunk self-resolves — and require bit-identical outputs
-        // and state.
-        let config = PacoConfig::paper().with_refresh_period(37);
-        let mut chunked = PacoPredictor::new(config);
-        let mut reference = PacoPredictor::new(config);
-        for est in [&mut chunked, &mut reference] {
-            for i in 0..200u64 {
-                let t = est.on_fetch(cond((i % 16) as u8));
-                est.on_resolve(t, i % 3 == 0);
-                est.tick(1);
-            }
-        }
-
-        let n = 16usize;
-        let fetch: Vec<BranchFetchInfo> = (0..n)
-            .map(|j| {
-                if j % 5 == 4 {
-                    BranchFetchInfo::non_conditional()
-                } else {
-                    BranchFetchInfo::conditional_keyed(Mdc::new((j % 16) as u8), j as u64)
-                }
-            })
-            .collect();
-        let mispredicted: Vec<bool> = (0..n).map(|j| j % 4 == 1 && j % 5 != 4).collect();
-        let window_resolves: Vec<(BranchToken, bool)> = (0..3)
-            .map(|i| (chunked.on_fetch(cond(i as u8)), i == 1))
-            .collect();
-        // Mirror the window fetches on the reference predictor.
-        let ref_window: Vec<(BranchToken, bool)> = (0..3)
-            .map(|i| (reference.on_fetch(cond(i as u8)), i == 1))
-            .collect();
-        let first_resolve_event = 2usize;
-        let ticks = 5u64;
-
-        let mut tokens = vec![BranchToken::empty(); n];
-        let mut scores = vec![0u64; n];
-        let mut probs = vec![0u64; n];
-        let mut has_prob = vec![false; n];
-        chunked.on_chunk(
-            &EstimatorChunk {
-                fetch: &fetch,
-                mispredicted: &mispredicted,
-                window_resolves: &window_resolves,
-                first_resolve_event,
-                ticks,
-            },
-            &mut ChunkOut {
-                tokens: &mut tokens,
-                scores: &mut scores,
-                probs: &mut probs,
-                has_prob: &mut has_prob,
-            },
-        );
-
-        // The reference sequence, spelled out per event.
-        let mut ref_tokens = Vec::new();
-        for (j, &info) in fetch.iter().enumerate() {
-            let t = reference.on_fetch(info);
-            ref_tokens.push(t);
-            assert_eq!(tokens[j], t, "token {j}");
-            assert_eq!(scores[j], reference.score().0, "score {j}");
-            assert_eq!(
-                probs[j],
-                reference.goodpath_probability().unwrap().value().to_bits(),
-                "prob bits {j}"
-            );
-            assert!(has_prob[j]);
-            if j >= first_resolve_event {
-                let r = j - first_resolve_event;
-                let (t, mis) = if r < ref_window.len() {
-                    ref_window[r]
-                } else {
-                    let i = r - ref_window.len();
-                    (ref_tokens[i], mispredicted[i])
-                };
-                reference.on_resolve(t, mis);
-            }
-            reference.tick(ticks);
-        }
-
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        chunked.save_state(&mut a);
-        reference.save_state(&mut b);
-        assert_eq!(a, b, "final predictor state must be bit-identical");
-        assert_eq!(chunked.refresh_count(), reference.refresh_count());
     }
 
     #[test]

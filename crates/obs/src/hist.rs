@@ -1,9 +1,9 @@
 //! Log-linear power-of-two-bucket histograms.
 //!
 //! The bucket layout is shared by every histogram in the workspace —
-//! server-side batch timings, `paco-load` round-trip latencies and the
-//! `hotpath` bench's per-pass probe all record into the same scheme, so
-//! their snapshots merge and their quantiles mean the same thing.
+//! server-side batch timings and `paco-load` round-trip latencies both
+//! record into the same scheme, so their snapshots merge and their
+//! quantiles mean the same thing.
 //!
 //! Values are non-negative integers (typically nanoseconds or event
 //! counts). The first [`SUB_COUNT`] values get exact unit buckets; above

@@ -88,7 +88,9 @@ pub struct ServeMetrics {
     /// ERROR frames sent for protocol violations.
     pub protocol_errors: Arc<Counter>,
     /// Server-side handle time of one EVENTS batch (decode → predict →
-    /// encode → write), nanoseconds.
+    /// encode → append to the connection's output buffer → watch),
+    /// nanoseconds. The socket write happens later, in the worker's
+    /// flush, and is not included.
     pub batch_handle_ns: Arc<Histogram>,
     /// Events per EVENTS batch.
     pub batch_events: Arc<Histogram>,
@@ -189,7 +191,7 @@ impl ServeMetrics {
             ),
             batch_handle_ns: registry.histogram(
                 "paco_batch_handle_ns",
-                "Server-side handle time per EVENTS batch (decode, predict, encode, write), ns.",
+                "Server-side handle time per EVENTS batch (decode, predict, encode, buffer, watch; excludes the socket write), ns.",
                 vec![],
             ),
             batch_events: registry.histogram(

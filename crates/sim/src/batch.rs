@@ -107,30 +107,6 @@ impl OutcomeBatch {
         self.probs.push(o.prob_bits.unwrap_or(0));
     }
 
-    /// Appends a whole chunk of outcomes from the batched kernel's
-    /// staging arrays — three `memcpy`s instead of three `Vec` pushes
-    /// per event. Callers must pack `flags` with the `FLAG_*` bits and
-    /// zero `probs` entries whose [`FLAG_HAS_PROB`](Self::FLAG_HAS_PROB)
-    /// bit is clear, exactly as [`push`](Self::push) would produce (the
-    /// wire encoder and the parity digests read the arrays raw).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    #[inline]
-    pub fn extend_packed(&mut self, flags: &[u8], scores: &[u64], probs: &[u64]) {
-        assert_eq!(flags.len(), scores.len());
-        assert_eq!(flags.len(), probs.len());
-        debug_assert!(flags.iter().all(|f| f & !Self::FLAG_ALL == 0));
-        debug_assert!(flags
-            .iter()
-            .zip(probs)
-            .all(|(f, &p)| f & Self::FLAG_HAS_PROB != 0 || p == 0));
-        self.flags.extend_from_slice(flags);
-        self.scores.extend_from_slice(scores);
-        self.probs.extend_from_slice(probs);
-    }
-
     /// Reconstructs outcome `i`.
     #[inline]
     pub fn get(&self, i: usize) -> OnlineOutcome {
@@ -221,28 +197,6 @@ mod tests {
         let mut batch = OutcomeBatch::new();
         batch.push(&o);
         assert_eq!(batch.get(0), o);
-    }
-
-    #[test]
-    fn extend_packed_matches_per_event_push() {
-        let outcomes = samples();
-        let mut pushed = OutcomeBatch::new();
-        for o in &outcomes {
-            pushed.push(o);
-        }
-        let flags: Vec<u8> = outcomes
-            .iter()
-            .map(|o| {
-                o.predicted_taken as u8
-                    | (o.mispredicted as u8) << 1
-                    | (o.prob_bits.is_some() as u8) << 2
-            })
-            .collect();
-        let scores: Vec<u64> = outcomes.iter().map(|o| o.score).collect();
-        let probs: Vec<u64> = outcomes.iter().map(|o| o.prob_bits.unwrap_or(0)).collect();
-        let mut packed = OutcomeBatch::new();
-        packed.extend_packed(&flags, &scores, &probs);
-        assert_eq!(pushed, packed);
     }
 
     #[test]

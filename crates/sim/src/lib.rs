@@ -36,6 +36,7 @@
 //! assert!(stats.threads[0].retired >= 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -53,6 +54,6 @@ pub use cache::{Cache, CacheConfig, CacheHierarchy};
 pub use config::SimConfig;
 pub use estimator_kind::{EstimatorKind, NullEstimator};
 pub use machine::{Machine, MachineBuilder, TraceSink};
-pub use online::{HotPass, NoProbe, OnlineConfig, OnlineOutcome, OnlinePipeline, PassProbe};
+pub use online::{OnlineConfig, OnlineOutcome, OnlinePipeline};
 pub use policy::{FetchPolicy, GatingPolicy};
 pub use stats::{MachineStats, ThreadStats, PROB_BINS, SCORE_BINS};

@@ -40,18 +40,13 @@
 //!   resolve-time component entries are touched once via fused train
 //!   ops. `paco-served` decodes EVENTS frames straight into this lane.
 //!
-//! Two byte-identical kernels back the batched lane: the fused register
-//! loop `run_batch` executes, and the chunked data-parallel kernel
-//! behind [`run_batch_probed`](OnlinePipeline::run_batch_probed) —
-//! staged `LANE`-event chunks, an order-exact table pass, a
-//! chunk-at-a-time estimator pass, optional one-chunk-ahead software
-//! prefetch, and the per-pass timing probe the `hotpath` bench reports.
-//! The fused loop is the default because it measures faster on every
-//! cache-resident (i.e. every validated) table configuration; see
-//! `docs/ARCHITECTURE.md` for the anatomy and the measurement.
+//! The batched lane is one fused loop: each event runs predict → MDC
+//! fetch → estimator fetch → window push → due resolves → tick with
+//! every per-event value in registers. `docs/ARCHITECTURE.md` describes
+//! the anatomy.
 //!
 //! Lane equality — per outcome and per wire byte — is enforced, not
-//! assumed: the unit suite replays long streams through both kernels at
+//! assumed: the unit suite replays long streams through both lanes at
 //! several batch sizes for every estimator kind, the serve integration
 //! suite compares server bytes (batched) against offline replay
 //! (per-event), and every `paco-load` or `hotpath` run digest-compares
@@ -62,8 +57,8 @@
 //! last bit.
 
 use paco::{
-    AdaptiveMrtPredictor, BranchFetchInfo, BranchToken, ChunkOut, EstimatorChunk, PacoPredictor,
-    PathConfidenceEstimator, PerBranchMrtPredictor, StaticMrtPredictor, ThresholdCountPredictor,
+    AdaptiveMrtPredictor, BranchFetchInfo, BranchToken, PacoPredictor, PathConfidenceEstimator,
+    PerBranchMrtPredictor, StaticMrtPredictor, ThresholdCountPredictor,
 };
 use paco_branch::DirectionPredictor;
 use paco_branch::{ConfidenceConfig, MdcIndex, MdcTable, TournamentConfig, TournamentPredictor};
@@ -397,140 +392,6 @@ impl EstimatorLane {
     }
 }
 
-/// Events per chunk of the batched kernel: a register-blocked lane
-/// count small enough for every staging array to live on the stack and
-/// for packed predictions to fit one `u64` mask, large enough to
-/// amortize chunk bookkeeping and give prefetches a chunk of latency to
-/// cover.
-const LANE: usize = 16;
-
-/// Stack-resident staging for one chunk of control events: the raw
-/// compacted fields (`fill`) plus the per-lane PC hash and pre-event
-/// history `setup_chunk` precomputes. Deliberately *thin* — table
-/// indices are cheap ALU off `(pc_hash, hist_before)`, so the table
-/// pass derives them in registers via the hashed APIs instead of
-/// round-tripping five more staged arrays through L1 (measured as a
-/// net loss on cache-resident tables).
-struct ChunkBuf {
-    len: usize,
-    pc: [u64; LANE],
-    conditional: [bool; LANE],
-    taken: [bool; LANE],
-    pc_hash: [u64; LANE],
-    hist_before: [u64; LANE],
-}
-
-impl ChunkBuf {
-    fn empty() -> Self {
-        ChunkBuf {
-            len: 0,
-            pc: [0; LANE],
-            conditional: [false; LANE],
-            taken: [false; LANE],
-            pc_hash: [0; LANE],
-            hist_before: [0; LANE],
-        }
-    }
-
-    /// Compacts the next up-to-`LANE` control events out of the event
-    /// stream (non-control events are skipped, exactly like the scalar
-    /// lane). Touches no pipeline state.
-    fn fill(&mut self, lanes: &mut impl Iterator<Item = (Pc, Option<bool>, bool)>) {
-        self.len = 0;
-        while self.len < LANE {
-            let Some((pc, control, taken)) = lanes.next() else {
-                break;
-            };
-            let Some(conditional) = control else {
-                continue;
-            };
-            self.pc[self.len] = pc.addr();
-            self.conditional[self.len] = conditional;
-            self.taken[self.len] = taken;
-            self.len += 1;
-        }
-    }
-}
-
-/// Per-chunk staging the table pass writes and the estimator pass
-/// reads, owned by the pipeline and reused across chunks **without
-/// clearing**: every element a chunk consumes is written earlier in the
-/// same chunk (the table pass covers all `LANE` lanes each run, the
-/// estimator contract requires `on_chunk` to fill every output lane),
-/// so stale values from the previous chunk are never observed and the
-/// kernel never pays a per-chunk memset.
-struct ChunkScratch {
-    /// `(token, mispredicted)` for resolves that pop pre-chunk window
-    /// entries, in pop order — filled at the exact per-event resolve
-    /// points of the table pass, consumed by the estimator pass.
-    window_resolves: [(BranchToken, bool); LANE],
-    predicted: [bool; LANE],
-    mispredicted: [bool; LANE],
-    fetch: [BranchFetchInfo; LANE],
-    mdc_idx: [MdcIndex; LANE],
-    tokens: [BranchToken; LANE],
-    scores: [u64; LANE],
-    probs: [u64; LANE],
-    has_prob: [bool; LANE],
-    flags: [u8; LANE],
-}
-
-impl ChunkScratch {
-    fn new() -> Box<Self> {
-        Box::new(ChunkScratch {
-            window_resolves: [(BranchToken::empty(), false); LANE],
-            predicted: [false; LANE],
-            mispredicted: [false; LANE],
-            fetch: [BranchFetchInfo::non_conditional(); LANE],
-            mdc_idx: [MdcIndex::default(); LANE],
-            tokens: [BranchToken::empty(); LANE],
-            scores: [0; LANE],
-            probs: [0; LANE],
-            has_prob: [false; LANE],
-            flags: [0; LANE],
-        })
-    }
-}
-
-/// The three passes of the chunked batched kernel, as attributed by a
-/// [`PassProbe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotPass {
-    /// Pass 0, staging: event compaction, the history scan, hashed
-    /// table-index precomputation and next-chunk software prefetch.
-    Predict,
-    /// Pass A, the order-exact table pass: counter reads, MDC fetches
-    /// and due resolve-time table trains (reads and trains interleave
-    /// per event *by design* — splitting them would reorder collisions —
-    /// so they are inseparable within this pass).
-    Train,
-    /// Pass B, the estimator pass
-    /// ([`PathConfidenceEstimator::on_chunk`]), plus chunk bookkeeping
-    /// (window update, outcome append).
-    Estimator,
-}
-
-/// Observer attributing the chunked kernel's wall time to its passes
-/// (the `hotpath` bench's per-pass breakdown). The final partial chunk
-/// runs the scalar step outside any span and is deliberately
-/// unattributed.
-pub trait PassProbe {
-    /// Runs `f`, attributing its duration to `pass`.
-    fn span<R>(&mut self, pass: HotPass, f: impl FnOnce() -> R) -> R;
-}
-
-/// The default probe: spans run unobserved and the probe monomorphizes
-/// away — [`OnlinePipeline::run_batch`] pays nothing for the hook.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoProbe;
-
-impl PassProbe for NoProbe {
-    #[inline(always)]
-    fn span<R>(&mut self, _pass: HotPass, f: impl FnOnce() -> R) -> R {
-        f()
-    }
-}
-
 /// Everything in the pipeline except the estimator: the front-end
 /// hardware, the in-flight window and the event counters. Split out so
 /// the batched lane can borrow the core mutably alongside the concrete
@@ -544,27 +405,7 @@ struct PipelineCore {
     hist: GlobalHistory,
     pending: Window,
     events: u64,
-    /// Whether the chunked kernel's `setup_chunk` issues software
-    /// prefetches. Decided once at construction from the tables' host
-    /// footprint ([`PREFETCH_FOOTPRINT_MIN`]): a cache-resident working
-    /// set makes every prefetch a wasted issue slot (measured as a
-    /// multi-percent tax on the paper configuration), while tables that
-    /// outgrow the cache miss without them.
-    prefetch: bool,
-    /// Chunk staging reused across every chunk of every batch (see
-    /// [`ChunkScratch`]); boxed so the pipeline stays cheaply movable.
-    scratch: Box<ChunkScratch>,
 }
-
-/// Combined table footprint (host bytes) below which the chunked
-/// kernel's software prefetches are disabled: a working set this size
-/// sits in L1/L2 in steady state, so prefetch hints only burn decode
-/// bandwidth. Half a typical per-core L2. Note the service caps table
-/// sizes such that every *validated* configuration lands under ~1 MiB
-/// of host footprint — on hardware with megabyte-class L2s the gate
-/// rarely opens, which is part of why the fused lane stays the
-/// `run_batch` default (`examples/kernel_ab.rs` measures this).
-const PREFETCH_FOOTPRINT_MIN: usize = 512 * 1024;
 
 impl PipelineCore {
     /// The **reference** per-event implementation: one control event
@@ -752,216 +593,10 @@ impl PipelineCore {
         }
     }
 
-    /// Stages one chunk: computes each lane's PC hash and pre-event
-    /// history (advancing the history register exactly as the per-event
-    /// order would), and — for table footprints past
-    /// [`PREFETCH_FOOTPRINT_MIN`] only — derives every lane's table
-    /// indices through the pure batched index APIs and issues software
-    /// prefetches for the lines they name. Pure setup — no counter is
-    /// read or written — so the kernel runs it a full chunk ahead of
-    /// the chunk's table pass, putting the prefetch distance at one
-    /// chunk (`LANE` events). The prefetch-path indices are computed
-    /// into locals and dropped: recomputing them in the table pass is a
-    /// couple of ALU ops, cheaper than staging them through memory.
-    /// Staging only runs for **full** chunks (partial tails take the
-    /// scalar step), so every loop here is a fixed `LANE` trip count —
-    /// the optimizer drops all bounds checks and unrolls freely.
-    fn setup_chunk(&mut self, buf: &mut ChunkBuf) {
-        debug_assert_eq!(buf.len, LANE, "setup_chunk stages full chunks only");
-        for j in 0..LANE {
-            let conditional = buf.conditional[j];
-            buf.pc_hash[j] = if conditional {
-                Pc::new(buf.pc[j]).table_hash()
-            } else {
-                0
-            };
-            buf.hist_before[j] = self.hist.bits();
-            if conditional {
-                self.hist.push(buf.taken[j]);
-            }
-        }
-        if self.prefetch {
-            let mut gshare_idx = [0u32; LANE];
-            let mut bimodal_idx = [0u32; LANE];
-            let mut selector_idx = [0u32; LANE];
-            let mut mdc_not_taken = [MdcIndex::default(); LANE];
-            let mut mdc_taken = [MdcIndex::default(); LANE];
-            self.tournament.cache_indices(
-                &buf.pc_hash,
-                &buf.hist_before,
-                &mut gshare_idx,
-                &mut bimodal_idx,
-                &mut selector_idx,
-            );
-            self.mdc.index_pair_hashed_n(
-                &buf.pc_hash,
-                &buf.hist_before,
-                &mut mdc_not_taken,
-                &mut mdc_taken,
-            );
-            for j in 0..LANE {
-                if buf.conditional[j] {
-                    self.tournament
-                        .prefetch_at(gshare_idx[j], bimodal_idx[j], selector_idx[j]);
-                    self.mdc.prefetch_at(mdc_not_taken[j], mdc_taken[j]);
-                }
-            }
-        }
-    }
-
-    /// Executes one staged full chunk: the order-exact table pass (pass
-    /// A), the estimator pass (pass B, [`PathConfidenceEstimator::on_chunk`]),
-    /// then window update and outcome append.
-    ///
-    /// The two passes may be separated because predictor-table state and
-    /// estimator state are disjoint and data flows only one way between
-    /// them (the MDC value read at fetch feeds the estimator; nothing
-    /// flows back): running every table operation of the chunk first, in
-    /// per-event order, then every estimator operation, in per-event
-    /// order, gives each operation exactly the state it sees in the
-    /// fused per-event order — byte-identical outcomes, enforced by the
-    /// lane-parity suites and digest gates.
-    fn execute_chunk<E: PathConfidenceEstimator, P: PassProbe>(
-        &mut self,
-        est: &mut E,
-        buf: &ChunkBuf,
-        out: &mut OutcomeBatch,
-        probe: &mut P,
-    ) {
-        debug_assert_eq!(buf.len, LANE, "execute_chunk runs full chunks only");
-        let w0 = self.pending.len();
-        // The resolve schedule in closed form: the window drains to
-        // `resolve_lag` after every push, so event `j` performs exactly
-        // one resolve iff `j >= due_start`; resolve `r` pops the r-th
-        // entry of [pre-chunk window ++ chunk events].
-        let due_start = self.resolve_lag.saturating_sub(w0);
-        let total_resolves = LANE.saturating_sub(due_start);
-        let window_pops = total_resolves.min(w0);
-        let in_chunk_pops = total_resolves - window_pops;
-
-        let s = &mut *self.scratch;
-        probe.span(HotPass::Train, || {
-            // A train-free chunk (window still warming: no resolve due)
-            // has no mid-chunk counter writes, so the packed SWAR gather
-            // is order-exact and replaces 3·LANE scalar counter reads.
-            // Its component indices live and die in registers here.
-            let packed = if total_resolves == 0 {
-                let mut gshare_idx = [0u32; LANE];
-                let mut bimodal_idx = [0u32; LANE];
-                let mut selector_idx = [0u32; LANE];
-                self.tournament.cache_indices(
-                    &buf.pc_hash,
-                    &buf.hist_before,
-                    &mut gshare_idx,
-                    &mut bimodal_idx,
-                    &mut selector_idx,
-                );
-                self.tournament
-                    .predict_cached_n(&gshare_idx, &bimodal_idx, &selector_idx)
-            } else {
-                0
-            };
-
-            for j in 0..LANE {
-                if buf.conditional[j] {
-                    let p = if total_resolves == 0 {
-                        packed >> j & 1 != 0
-                    } else {
-                        self.tournament
-                            .predict_hashed(buf.pc_hash[j], buf.hist_before[j])
-                    };
-                    let (idx, mdc) = self.mdc.fetch_hashed(buf.pc_hash[j], buf.hist_before[j], p);
-                    s.predicted[j] = p;
-                    s.mispredicted[j] = p != buf.taken[j];
-                    s.fetch[j] = BranchFetchInfo::conditional_keyed(
-                        mdc,
-                        buf.pc_hash[j] ^ buf.hist_before[j],
-                    );
-                    s.mdc_idx[j] = idx;
-                } else {
-                    s.predicted[j] = true;
-                    s.mispredicted[j] = false;
-                    s.fetch[j] = BranchFetchInfo::non_conditional();
-                    s.mdc_idx[j] = MdcIndex::default();
-                }
-                if j >= due_start {
-                    let r = j - due_start;
-                    if r < window_pops {
-                        // Pop the window entry at its exact per-event
-                        // resolve point; its token goes to the estimator
-                        // pass, its trains land here.
-                        let b = self.pending.pop_front().expect("window holds the pops");
-                        s.window_resolves[r] = (b.token, b.conditional && b.predicted != b.taken);
-                        if b.conditional {
-                            let mis = b.predicted != b.taken;
-                            self.mdc.update(b.mdc_idx, !mis);
-                            self.tournament
-                                .update_hashed(b.pc_hash, b.hist_before, b.taken);
-                        }
-                    } else {
-                        let i = r - window_pops;
-                        if buf.conditional[i] {
-                            self.mdc.update(s.mdc_idx[i], !s.mispredicted[i]);
-                            self.tournament.update_hashed(
-                                buf.pc_hash[i],
-                                buf.hist_before[i],
-                                buf.taken[i],
-                            );
-                        }
-                    }
-                }
-            }
-        });
-
-        probe.span(HotPass::Estimator, || {
-            est.on_chunk(
-                &EstimatorChunk {
-                    fetch: &s.fetch,
-                    mispredicted: &s.mispredicted,
-                    window_resolves: &s.window_resolves[..window_pops],
-                    first_resolve_event: due_start,
-                    ticks: self.ticks_per_event,
-                },
-                &mut ChunkOut {
-                    tokens: &mut s.tokens,
-                    scores: &mut s.scores,
-                    probs: &mut s.probs,
-                    has_prob: &mut s.has_prob,
-                },
-            );
-
-            // Chunk events not consumed by an in-chunk resolve enter the
-            // window with the tokens the estimator just produced.
-            for i in in_chunk_pops..LANE {
-                self.pending.push_back(PendingBranch {
-                    token: s.tokens[i],
-                    pc: buf.pc[i],
-                    pc_hash: buf.pc_hash[i],
-                    mdc_idx: s.mdc_idx[i],
-                    hist_before: buf.hist_before[i],
-                    taken: buf.taken[i],
-                    predicted: s.predicted[i],
-                    conditional: buf.conditional[i],
-                });
-            }
-            self.events += LANE as u64;
-            for j in 0..LANE {
-                s.flags[j] = s.predicted[j] as u8
-                    | (s.mispredicted[j] as u8) << 1
-                    | (s.has_prob[j] as u8) << 2;
-            }
-            out.extend_packed(&s.flags, &s.scores, &s.probs);
-        });
-    }
-
-    /// The batched lane's **fused** inner loop, monomorphized per
-    /// concrete estimator: no enum or vtable dispatch per event, no
-    /// allocation, and every per-event value lives and dies in
-    /// registers. This is the `run_batch` body for cache-resident table
-    /// configurations, where it is measurably faster than the chunked
-    /// kernel — with no table misses to hide, chunk staging is pure L1
-    /// store/reload tax (`examples/kernel_ab.rs` holds the numbers).
-    fn process_batch_fused<E: PathConfidenceEstimator>(
+    /// The batched lane's fused inner loop, monomorphized per concrete
+    /// estimator: no enum or vtable dispatch per event, no allocation,
+    /// and every per-event value lives and dies in registers.
+    fn process_batch<E: PathConfidenceEstimator>(
         &mut self,
         est: &mut E,
         events: &EventBatch,
@@ -974,67 +609,6 @@ impl PipelineCore {
                 continue;
             };
             let outcome = self.step(est, pc, conditional, taken);
-            out.push(&outcome);
-        }
-    }
-
-    /// The batched lane's **chunked** inner loop, monomorphized per
-    /// concrete estimator: no enum or vtable dispatch per event, no
-    /// allocation (chunk staging lives on the stack, the caller's
-    /// batches are reused across frames).
-    ///
-    /// Control events are compacted into `LANE`-event chunks and run
-    /// through the three-pass kernel — stage (+ prefetch, one chunk
-    /// ahead, double-buffered), table pass, estimator pass — with the
-    /// final partial chunk falling back to the scalar
-    /// [`step`](Self::step). Non-control events are ignored, exactly
-    /// like `on_instr`. Reached through
-    /// [`OnlinePipeline::run_batch_probed`]; its prefetch stage engages
-    /// past [`PREFETCH_FOOTPRINT_MIN`], where the chunk of prefetch
-    /// distance hides table misses a register loop would stall on.
-    fn process_batch<E: PathConfidenceEstimator, P: PassProbe>(
-        &mut self,
-        est: &mut E,
-        events: &EventBatch,
-        out: &mut OutcomeBatch,
-        probe: &mut P,
-    ) {
-        out.reserve(events.len());
-        let mut lanes = events.lanes();
-        // Double-buffered staging, flipped by index — the buffers never
-        // move, so advancing a chunk costs one index flip, not a
-        // buffer-sized copy.
-        let mut bufs = [ChunkBuf::empty(), ChunkBuf::empty()];
-        let mut cur = 0;
-        probe.span(HotPass::Predict, || {
-            bufs[cur].fill(&mut lanes);
-            if bufs[cur].len == LANE {
-                self.setup_chunk(&mut bufs[cur]);
-            }
-        });
-        while bufs[cur].len == LANE {
-            // Stage (and prefetch) chunk k+1 before touching chunk k's
-            // counters: by the time the table pass needs a line, its
-            // prefetch is a chunk old.
-            let nxt = cur ^ 1;
-            probe.span(HotPass::Predict, || {
-                bufs[nxt].fill(&mut lanes);
-                if bufs[nxt].len == LANE {
-                    self.setup_chunk(&mut bufs[nxt]);
-                }
-            });
-            self.execute_chunk(est, &bufs[cur], out, probe);
-            cur = nxt;
-        }
-        // The tail (fewer than LANE staged events) runs the scalar step;
-        // `fill` never touched shared state, so nothing replays.
-        for j in 0..bufs[cur].len {
-            let outcome = self.step(
-                est,
-                Pc::new(bufs[cur].pc[j]),
-                bufs[cur].conditional[j],
-                bufs[cur].taken[j],
-            );
             out.push(&outcome);
         }
     }
@@ -1096,7 +670,6 @@ impl OnlinePipeline {
     pub fn new(config: &OnlineConfig) -> Self {
         let tournament = TournamentPredictor::new(config.tournament);
         let mdc = MdcTable::new(config.confidence);
-        let prefetch = tournament.host_bytes() + mdc.entries() >= PREFETCH_FOOTPRINT_MIN;
         OnlinePipeline {
             core: PipelineCore {
                 config_hash: config.canon_hash(),
@@ -1107,8 +680,6 @@ impl OnlinePipeline {
                 hist: GlobalHistory::new(config.tournament.history_bits.max(8)),
                 pending: Window::new(config.resolve_lag + 1),
                 events: 0,
-                prefetch,
-                scratch: ChunkScratch::new(),
             },
             lane: EstimatorLane::new(&config.estimator),
         }
@@ -1162,51 +733,14 @@ impl OnlinePipeline {
     /// `paco-load`/`hotpath` run. The lanes can be interleaved freely
     /// on one pipeline (they share the tables and the in-flight
     /// window).
-    ///
-    /// Two byte-identical kernels back the batched lane: this entry
-    /// point runs the **fused register loop**, which keeps every
-    /// per-event value in registers and wins on cache-resident table
-    /// footprints — and the service caps table sizes such that every
-    /// validated configuration *is* cache-resident on current hardware
-    /// (`examples/kernel_ab.rs` holds the measurement). The chunked
-    /// data-parallel kernel is reachable through
-    /// [`run_batch_probed`](Self::run_batch_probed) and proven
-    /// byte-identical by the same parity suites (see
-    /// `docs/ARCHITECTURE.md`).
     pub fn run_batch(&mut self, events: &EventBatch, out: &mut OutcomeBatch) {
         match &mut self.lane {
-            EstimatorLane::None(est) => self.core.process_batch_fused(est, events, out),
-            EstimatorLane::Paco(est) => self.core.process_batch_fused(est, events, out),
-            EstimatorLane::ThresholdCount(est) => self.core.process_batch_fused(est, events, out),
-            EstimatorLane::StaticMrt(est) => self.core.process_batch_fused(est, events, out),
-            EstimatorLane::PerBranchMrt(est) => self.core.process_batch_fused(est, events, out),
-            EstimatorLane::AdaptiveMrt(est) => self.core.process_batch_fused(est, events, out),
-        }
-    }
-
-    /// [`run_batch`](Self::run_batch) through the **chunked
-    /// data-parallel kernel** — staged `LANE`-event chunks, the
-    /// order-exact table pass, the chunk-at-a-time estimator pass, and
-    /// (past `PREFETCH_FOOTPRINT_MIN`) one-chunk-ahead software
-    /// prefetch — with a [`PassProbe`] attributing wall time to the
-    /// passes; pass [`NoProbe`] to run the kernel unobserved. Outcomes
-    /// are byte-identical to `run_batch` and the per-event reference
-    /// (same parity suites and digest gates). A timing probe adds two
-    /// clock reads per pass per chunk, so probed runs measure the
-    /// breakdown, not headline throughput.
-    pub fn run_batch_probed<P: PassProbe>(
-        &mut self,
-        events: &EventBatch,
-        out: &mut OutcomeBatch,
-        probe: &mut P,
-    ) {
-        match &mut self.lane {
-            EstimatorLane::None(est) => self.core.process_batch(est, events, out, probe),
-            EstimatorLane::Paco(est) => self.core.process_batch(est, events, out, probe),
-            EstimatorLane::ThresholdCount(est) => self.core.process_batch(est, events, out, probe),
-            EstimatorLane::StaticMrt(est) => self.core.process_batch(est, events, out, probe),
-            EstimatorLane::PerBranchMrt(est) => self.core.process_batch(est, events, out, probe),
-            EstimatorLane::AdaptiveMrt(est) => self.core.process_batch(est, events, out, probe),
+            EstimatorLane::None(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::Paco(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::ThresholdCount(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::StaticMrt(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::PerBranchMrt(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::AdaptiveMrt(est) => self.core.process_batch(est, events, out),
         }
     }
 
@@ -1369,26 +903,6 @@ mod tests {
         instrs: &[DynInstr],
         batch_size: usize,
     ) -> Vec<OnlineOutcome> {
-        lane_outcomes(config, instrs, batch_size, false)
-    }
-
-    /// Same stream through the chunked data-parallel kernel
-    /// (`run_batch_probed` with `NoProbe`), which `run_batch` does not
-    /// reach on its own — both kernels must match the reference.
-    fn chunked_outcomes(
-        config: &OnlineConfig,
-        instrs: &[DynInstr],
-        batch_size: usize,
-    ) -> Vec<OnlineOutcome> {
-        lane_outcomes(config, instrs, batch_size, true)
-    }
-
-    fn lane_outcomes(
-        config: &OnlineConfig,
-        instrs: &[DynInstr],
-        batch_size: usize,
-        chunked: bool,
-    ) -> Vec<OnlineOutcome> {
         let mut pipe = OnlinePipeline::new(config);
         let mut batch = EventBatch::new();
         let mut out = OutcomeBatch::new();
@@ -1397,11 +911,7 @@ mod tests {
             batch.clear();
             batch.extend_from_instrs(chunk);
             out.clear();
-            if chunked {
-                pipe.run_batch_probed(&batch, &mut out, &mut NoProbe);
-            } else {
-                pipe.run_batch(&batch, &mut out);
-            }
+            pipe.run_batch(&batch, &mut out);
             collected.extend(out.iter());
         }
         collected
@@ -1448,11 +958,6 @@ mod tests {
                     per_event,
                     batched_outcomes(&config, &instrs, batch_size),
                     "fused-lane divergence: {kind:?} at batch size {batch_size}"
-                );
-                assert_eq!(
-                    per_event,
-                    chunked_outcomes(&config, &instrs, batch_size),
-                    "chunked-kernel divergence: {kind:?} at batch size {batch_size}"
                 );
             }
         }
@@ -1619,8 +1124,8 @@ mod tests {
         let mut blob = Vec::new();
         first.save_state(&mut blob);
 
-        // Resume through the chunked kernel: a restored full window must
-        // drive its closed-form resolve schedule correctly too.
+        // Resume through the batched lane: a restored full window must
+        // resolve on the first event it sees.
         let mut resumed = OnlinePipeline::new(&config);
         assert!(resumed.load_state(&mut blob.as_slice()));
         let mut batch = EventBatch::new();
@@ -1629,7 +1134,7 @@ mod tests {
             batch.clear();
             batch.extend_from_instrs(chunk);
             out.clear();
-            resumed.run_batch_probed(&batch, &mut out, &mut NoProbe);
+            resumed.run_batch(&batch, &mut out);
             produced.extend(out.iter());
         }
         assert_eq!(produced, full);

@@ -2,7 +2,7 @@
 //!
 //! The proptest suite in `properties.rs` samples this space randomly;
 //! this file walks it deterministically so a failure names the exact
-//! cell: estimator kind × execution lane × batch sizing × snapshot cut.
+//! cell: estimator kind × batch sizing × snapshot cut.
 //! Every cell must be *outcome*-identical (the `OutcomeBatch` SoA
 //! compares equal) **and** *wire-byte*-identical (the packed flag /
 //! uvarint-score / prob-bits image the serve plane streams is built
@@ -15,7 +15,7 @@
 //! the matrix, tagged distinctly, and proven to snapshot-round-trip.
 
 use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
-use paco_sim::{EstimatorKind, NoProbe, OnlineConfig, OnlinePipeline, OutcomeBatch};
+use paco_sim::{EstimatorKind, OnlineConfig, OnlinePipeline, OutcomeBatch};
 use paco_types::canon::Canon;
 use paco_types::{DynInstr, EventBatch};
 use paco_workloads::{BenchmarkId, Workload};
@@ -47,15 +47,13 @@ fn roster() -> Vec<(&'static str, EstimatorKind)> {
     ]
 }
 
-/// Batch sizings for the matrix. The chunked kernel's internal lane is
-/// 16 events wide, so these deliberately include non-multiples (scalar
-/// tail), exact multiples (no tail), single-event batches (degenerate
-/// chunks), and mixed cycles (partial chunks carried across batch
-/// boundaries).
+/// Batch sizings for the matrix: single-event batches, odd and mixed
+/// cycles, and batches larger than the in-flight window, so resolves
+/// land both inside a batch and across batch boundaries.
 const SIZINGS: [&[usize]; 6] = [&[1], &[3, 5, 7], &[16], &[17], &[23, 1, 64], &[160]];
 
-/// Snapshot cut points; none is a multiple of the 16-event lane, so
-/// every cut lands mid-chunk for the chunked kernel.
+/// Snapshot cut points: before, at about, and well past the point where
+/// the in-flight window first fills.
 const CUTS: [usize; 3] = [7, 33, 101];
 
 fn control_events(seed: u64, count: usize) -> Vec<DynInstr> {
@@ -113,13 +111,7 @@ fn run_per_event(config: &OnlineConfig, events: &[DynInstr]) -> OutcomeBatch {
 
 /// Feeds `events` through `pipe` in batches cycling through `sizes`,
 /// appending outcomes to `all`.
-fn drive(
-    pipe: &mut OnlinePipeline,
-    events: &[DynInstr],
-    sizes: &[usize],
-    chunked: bool,
-    all: &mut OutcomeBatch,
-) {
+fn drive(pipe: &mut OnlinePipeline, events: &[DynInstr], sizes: &[usize], all: &mut OutcomeBatch) {
     let mut out = OutcomeBatch::new();
     let mut rest = events;
     let mut cycle = sizes.iter().copied().cycle();
@@ -127,11 +119,7 @@ fn drive(
         let take = cycle.next().unwrap().min(rest.len());
         let (chunk, tail) = rest.split_at(take);
         out.clear();
-        if chunked {
-            pipe.run_batch_probed(&EventBatch::from(chunk), &mut out, &mut NoProbe);
-        } else {
-            pipe.run_batch(&EventBatch::from(chunk), &mut out);
-        }
+        pipe.run_batch(&EventBatch::from(chunk), &mut out);
         for o in out.iter() {
             all.push(&o);
         }
@@ -139,8 +127,8 @@ fn drive(
     }
 }
 
-/// kind × lane × sizing: both batched lanes equal the scalar oracle in
-/// outcomes and in wire bytes, at every batch sizing in the matrix.
+/// kind × sizing: the batched lane equals the scalar oracle in outcomes
+/// and in wire bytes, at every batch sizing in the matrix.
 #[test]
 fn differential_matrix_outcomes_and_wire_bytes() {
     let events = control_events(0x5eed_ad0b_e500_0001, 520);
@@ -149,34 +137,24 @@ fn differential_matrix_outcomes_and_wire_bytes() {
         let reference = run_per_event(&config, &events);
         let reference_wire = wire_bytes(&reference);
         for (si, sizes) in SIZINGS.iter().enumerate() {
-            for chunked in [false, true] {
-                let lane = if chunked { "chunked" } else { "fused" };
-                let mut got = OutcomeBatch::new();
-                drive(
-                    &mut OnlinePipeline::new(&config),
-                    &events,
-                    sizes,
-                    chunked,
-                    &mut got,
-                );
-                assert_eq!(
-                    reference, got,
-                    "outcome divergence: kind={label} lane={lane} sizing#{si}={sizes:?}"
-                );
-                assert_eq!(
-                    reference_wire,
-                    wire_bytes(&got),
-                    "wire-byte divergence: kind={label} lane={lane} sizing#{si}={sizes:?}"
-                );
-            }
+            let mut got = OutcomeBatch::new();
+            drive(&mut OnlinePipeline::new(&config), &events, sizes, &mut got);
+            assert_eq!(
+                reference, got,
+                "outcome divergence: kind={label} sizing#{si}={sizes:?}"
+            );
+            assert_eq!(
+                reference_wire,
+                wire_bytes(&got),
+                "wire-byte divergence: kind={label} sizing#{si}={sizes:?}"
+            );
         }
     }
 }
 
-/// kind × cut × lane: a snapshot taken mid-stream (always mid-chunk
-/// for the chunked kernel — no cut is a multiple of 16) restores into
-/// a fresh pipeline that finishes the stream identically, and the
-/// restored blob re-saves byte-identically before any further events.
+/// kind × cut: a snapshot taken mid-stream restores into a fresh
+/// pipeline that finishes the stream identically, and the restored blob
+/// re-saves byte-identically before any further events.
 #[test]
 fn differential_matrix_snapshot_cuts() {
     let events = control_events(0x5eed_ad0b_e500_0002, 360);
@@ -185,39 +163,36 @@ fn differential_matrix_snapshot_cuts() {
         let reference = run_per_event(&config, &events);
         let reference_wire = wire_bytes(&reference);
         for cut in CUTS {
-            for chunked in [false, true] {
-                let lane = if chunked { "chunked" } else { "fused" };
-                let mut all = OutcomeBatch::new();
-                let mut pipe = OnlinePipeline::new(&config);
-                drive(&mut pipe, &events[..cut], &[13, 4], chunked, &mut all);
+            let mut all = OutcomeBatch::new();
+            let mut pipe = OnlinePipeline::new(&config);
+            drive(&mut pipe, &events[..cut], &[13, 4], &mut all);
 
-                let mut blob = Vec::new();
-                pipe.save_state(&mut blob);
-                let mut restored = OnlinePipeline::new(&config);
-                assert!(
-                    restored.load_state(&mut blob.as_slice()),
-                    "restore failed: kind={label} cut={cut}"
-                );
-                // Round-trip fidelity: the restored pipeline's own
-                // snapshot must be the same bytes.
-                let mut blob2 = Vec::new();
-                restored.save_state(&mut blob2);
-                assert_eq!(
-                    blob, blob2,
-                    "snapshot blob not idempotent: kind={label} cut={cut} lane={lane}"
-                );
+            let mut blob = Vec::new();
+            pipe.save_state(&mut blob);
+            let mut restored = OnlinePipeline::new(&config);
+            assert!(
+                restored.load_state(&mut blob.as_slice()),
+                "restore failed: kind={label} cut={cut}"
+            );
+            // Round-trip fidelity: the restored pipeline's own
+            // snapshot must be the same bytes.
+            let mut blob2 = Vec::new();
+            restored.save_state(&mut blob2);
+            assert_eq!(
+                blob, blob2,
+                "snapshot blob not idempotent: kind={label} cut={cut}"
+            );
 
-                drive(&mut restored, &events[cut..], &[9, 31], chunked, &mut all);
-                assert_eq!(
-                    reference, all,
-                    "post-restore outcome divergence: kind={label} cut={cut} lane={lane}"
-                );
-                assert_eq!(
-                    reference_wire,
-                    wire_bytes(&all),
-                    "post-restore wire divergence: kind={label} cut={cut} lane={lane}"
-                );
-            }
+            drive(&mut restored, &events[cut..], &[9, 31], &mut all);
+            assert_eq!(
+                reference, all,
+                "post-restore outcome divergence: kind={label} cut={cut}"
+            );
+            assert_eq!(
+                reference_wire,
+                wire_bytes(&all),
+                "post-restore wire divergence: kind={label} cut={cut}"
+            );
         }
     }
 }

@@ -1,18 +1,14 @@
 //! Property-based lane-parity tests for the online pipeline.
 //!
-//! Both batched kernels — the fused register loop behind `run_batch`
-//! and the chunked data-parallel kernel behind `run_batch_probed` —
-//! must be byte-equivalent to the scalar per-event reference
-//! (`on_instr`) for **every** estimator kind, at **every** batch size —
-//! including sizes that are not multiples of the chunked kernel's
-//! internal 16-event lane, which exercise the scalar tail and the
-//! carry of partially filled chunks across batch boundaries.
-//! These properties also pin snapshot save/restore landing mid-chunk:
-//! a blob taken at an arbitrary event index must resume bit-identically
-//! however the remaining stream is then chunked.
+//! The batched lane (`run_batch`) must be byte-equivalent to the scalar
+//! per-event reference (`on_instr`) for **every** estimator kind, at
+//! **every** batch sizing. These properties also pin snapshot
+//! save/restore at an arbitrary cut: a blob taken at any event index
+//! must resume bit-identically however either side of the stream is
+//! batched.
 
 use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
-use paco_sim::{EstimatorKind, NoProbe, OnlineConfig, OnlinePipeline, OutcomeBatch};
+use paco_sim::{EstimatorKind, OnlineConfig, OnlinePipeline, OutcomeBatch};
 use paco_types::{DynInstr, EventBatch};
 use paco_workloads::{BenchmarkId, Workload};
 use proptest::prelude::*;
@@ -63,18 +59,9 @@ fn run_per_event(config: &OnlineConfig, events: &[DynInstr]) -> OutcomeBatch {
     out
 }
 
-/// Runs a batched lane over `events`, split into consecutive batches
-/// whose sizes cycle through `sizes`. `chunked` selects the chunked
-/// data-parallel kernel (`run_batch_probed` + `NoProbe`) instead of
-/// the fused register loop (`run_batch`).
-fn run_batched(
-    config: &OnlineConfig,
-    events: &[DynInstr],
-    sizes: &[usize],
-    chunked: bool,
-) -> OutcomeBatch {
-    let mut pipe = OnlinePipeline::new(config);
-    let mut all = OutcomeBatch::new();
+/// Feeds `events` through `pipe`'s batched lane in consecutive batches
+/// whose sizes cycle through `sizes`, appending outcomes to `all`.
+fn drive(pipe: &mut OnlinePipeline, events: &[DynInstr], sizes: &[usize], all: &mut OutcomeBatch) {
     let mut out = OutcomeBatch::new();
     let mut rest = events;
     let mut cycle = sizes.iter().copied().cycle();
@@ -82,24 +69,19 @@ fn run_batched(
         let take = cycle.next().unwrap().min(rest.len());
         let (chunk, tail) = rest.split_at(take);
         out.clear();
-        if chunked {
-            pipe.run_batch_probed(&EventBatch::from(chunk), &mut out, &mut NoProbe);
-        } else {
-            pipe.run_batch(&EventBatch::from(chunk), &mut out);
-        }
+        pipe.run_batch(&EventBatch::from(chunk), &mut out);
         for o in out.iter() {
             all.push(&o);
         }
         rest = tail;
     }
-    all
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both batched kernels == scalar for every estimator kind under
-    /// arbitrary (deliberately non-lane-multiple) batch sizing.
+    /// Batched lane == scalar for every estimator kind under arbitrary
+    /// batch sizing.
     #[test]
     fn batched_lane_matches_scalar_oracle_at_any_batch_size(
         seed in any::<u64>(),
@@ -110,32 +92,24 @@ proptest! {
         for kind in all_kinds() {
             let config = OnlineConfig::paper(kind);
             let reference = run_per_event(&config, &events);
-            let fused = run_batched(&config, &events, &sizes, false);
+            let mut fused = OutcomeBatch::new();
+            drive(&mut OnlinePipeline::new(&config), &events, &sizes, &mut fused);
             prop_assert_eq!(
                 &reference,
                 &fused,
                 "fused-lane divergence for {}",
                 OnlinePipeline::new(&config).estimator_name()
             );
-            let chunked = run_batched(&config, &events, &sizes, true);
-            prop_assert_eq!(
-                &reference,
-                &chunked,
-                "chunked-kernel divergence for {}",
-                OnlinePipeline::new(&config).estimator_name()
-            );
         }
     }
 
-    /// A snapshot taken at an arbitrary event index — almost always in
-    /// the middle of a 16-event kernel chunk — restores into a fresh
-    /// pipeline that finishes the stream bit-identically, whatever
-    /// batch sizing either side uses. Runs through the chunked kernel
-    /// on both sides of the cut: "mid-chunk" is a chunked-kernel
-    /// notion, and the restored in-flight window must re-derive its
-    /// closed-form resolve schedule correctly.
+    /// A snapshot taken at an arbitrary event index restores into a
+    /// fresh pipeline that finishes the stream bit-identically, whatever
+    /// batch sizing either side of the cut uses. Both sides run through
+    /// `run_batch`, so the restored in-flight window must resolve
+    /// correctly inside a batch.
     #[test]
-    fn snapshot_restore_lands_mid_chunk(
+    fn snapshot_restore_at_any_cut_matches_scalar_oracle(
         seed in any::<u64>(),
         count in 96usize..320,
         cut in 1usize..95,
@@ -153,37 +127,13 @@ proptest! {
             // Batched prefix, snapshot mid-stream, restore, batched rest.
             let mut pipe = OnlinePipeline::new(&config);
             let mut all = OutcomeBatch::new();
-            let mut out = OutcomeBatch::new();
-            let mut rest = &events[..cut];
-            let mut cycle = pre_sizes.iter().copied().cycle();
-            while !rest.is_empty() {
-                let take = cycle.next().unwrap().min(rest.len());
-                let (chunk, tail) = rest.split_at(take);
-                out.clear();
-                pipe.run_batch_probed(&EventBatch::from(chunk), &mut out, &mut NoProbe);
-                for o in out.iter() {
-                    all.push(&o);
-                }
-                rest = tail;
-            }
+            drive(&mut pipe, &events[..cut], &pre_sizes, &mut all);
 
             let mut blob = Vec::new();
             pipe.save_state(&mut blob);
             let mut restored = OnlinePipeline::new(&config);
             prop_assert!(restored.load_state(&mut blob.as_slice()), "restore failed");
-
-            let mut rest = &events[cut..];
-            let mut cycle = post_sizes.iter().copied().cycle();
-            while !rest.is_empty() {
-                let take = cycle.next().unwrap().min(rest.len());
-                let (chunk, tail) = rest.split_at(take);
-                out.clear();
-                restored.run_batch_probed(&EventBatch::from(chunk), &mut out, &mut NoProbe);
-                for o in out.iter() {
-                    all.push(&o);
-                }
-                rest = tail;
-            }
+            drive(&mut restored, &events[cut..], &post_sizes, &mut all);
 
             prop_assert_eq!(
                 &reference,
