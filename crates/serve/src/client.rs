@@ -2,7 +2,7 @@
 //! the integration suite, and anything else that wants online
 //! predictions from a `paco-served` instance.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use paco_sim::{OnlineConfig, OnlineOutcome};
@@ -11,9 +11,9 @@ use paco_types::DynInstr;
 
 use crate::proto::{
     decode_error, decode_migrate_ack, decode_outcomes, decode_snapshot, decode_stats,
-    decode_welcome, encode_events, encode_hello, encode_migrate_req, encode_outcomes, read_frame,
-    write_frame, Digest, ErrorCode, Frame, FrameKind, Hello, MigrateAck, MigrateReq, ProtoError,
-    Resume, Snapshot, Stats, PROTOCOL_VERSION,
+    decode_welcome, encode_events_into, encode_frame_with, encode_hello, encode_migrate_req,
+    encode_outcomes, read_frame_into, Digest, ErrorCode, FrameKind, Hello, MigrateAck, MigrateReq,
+    ProtoError, Resume, Snapshot, Stats, PROTOCOL_VERSION,
 };
 
 /// A client-side failure.
@@ -52,10 +52,16 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 /// A connected session.
+///
+/// Frames go out through `tx` and replies come in through `rx`; both
+/// buffers are owned by the client and reused, so a steady EVENTS round
+/// trip allocates nothing per frame and copies no payload.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    tx: Vec<u8>,
+    rx: Vec<u8>,
     session_id: u64,
     server_fingerprint: u64,
     resumed_events: u64,
@@ -112,7 +118,9 @@ impl Client {
         let reader = BufReader::new(stream.try_clone()?);
         let mut client = Client {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
+            tx: Vec::new(),
+            rx: Vec::new(),
             session_id: 0,
             server_fingerprint: 0,
             resumed_events: 0,
@@ -126,27 +134,40 @@ impl Client {
             resume,
             family,
         };
-        write_frame(&mut client.writer, FrameKind::Hello, &encode_hello(&hello))
-            .map_err(ProtoError::Io)?;
-        let frame = client.expect_frame(FrameKind::Welcome)?;
-        let welcome = decode_welcome(&frame.payload)?;
+        client.send(FrameKind::Hello, |out| {
+            out.extend_from_slice(&encode_hello(&hello))
+        })?;
+        client.expect_frame(FrameKind::Welcome)?;
+        let welcome = decode_welcome(&client.rx)?;
         client.session_id = welcome.session_id;
         client.server_fingerprint = welcome.fingerprint;
         client.resumed_events = welcome.events;
         Ok(client)
     }
 
-    /// Reads one frame, translating ERROR frames and surprises.
-    fn expect_frame(&mut self, kind: FrameKind) -> Result<Frame, ClientError> {
-        match read_frame(&mut self.reader)? {
-            Some(frame) if frame.kind == kind => Ok(frame),
-            Some(frame) if frame.kind == FrameKind::Error => {
-                let (code, msg) = decode_error(&frame.payload)?;
+    /// Writes one frame whose payload `write_payload` encodes straight
+    /// into the reused `tx` buffer.
+    fn send(
+        &mut self,
+        kind: FrameKind,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ClientError> {
+        self.tx.clear();
+        encode_frame_with(&mut self.tx, kind, write_payload);
+        Ok(self.writer.write_all(&self.tx)?)
+    }
+
+    /// Reads one frame of `kind`, leaving its payload in `rx`;
+    /// translates ERROR frames and surprises.
+    fn expect_frame(&mut self, kind: FrameKind) -> Result<(), ClientError> {
+        match read_frame_into(&mut self.reader, &mut self.rx)? {
+            Some(got) if got == kind => Ok(()),
+            Some(FrameKind::Error) => {
+                let (code, msg) = decode_error(&self.rx)?;
                 Err(ClientError::Server(code, msg))
             }
-            Some(frame) => Err(ClientError::Unexpected(format!(
-                "wanted {kind:?}, got {:?}",
-                frame.kind
+            Some(got) => Err(ClientError::Unexpected(format!(
+                "wanted {kind:?}, got {got:?}"
             ))),
             None => Err(ClientError::Unexpected(
                 "connection closed mid-exchange".into(),
@@ -193,48 +214,43 @@ impl Client {
             session_id: self.session_id,
             target_shard,
         };
-        write_frame(
-            &mut self.writer,
-            FrameKind::Migrate,
-            &encode_migrate_req(&req),
-        )
-        .map_err(ProtoError::Io)?;
-        let frame = self.expect_frame(FrameKind::Migrate)?;
-        Ok(decode_migrate_ack(&frame.payload)?)
+        self.send(FrameKind::Migrate, |out| {
+            out.extend_from_slice(&encode_migrate_req(&req))
+        })?;
+        self.expect_frame(FrameKind::Migrate)?;
+        Ok(decode_migrate_ack(&self.rx)?)
     }
 
     /// Streams a batch of events; blocks for and returns the
     /// predictions (one per control instruction in the batch).
     pub fn send_events(&mut self, instrs: &[DynInstr]) -> Result<Vec<OnlineOutcome>, ClientError> {
-        write_frame(&mut self.writer, FrameKind::Events, &encode_events(instrs))
-            .map_err(ProtoError::Io)?;
-        let frame = self.expect_frame(FrameKind::Predictions)?;
-        self.digest.update(&frame.payload);
-        Ok(decode_outcomes(&frame.payload)?)
+        self.send(FrameKind::Events, |out| encode_events_into(out, instrs))?;
+        self.expect_frame(FrameKind::Predictions)?;
+        self.digest.update(&self.rx);
+        Ok(decode_outcomes(&self.rx)?)
     }
 
     /// Requests a snapshot of the session's full pipeline state.
     pub fn snapshot(&mut self) -> Result<Snapshot, ClientError> {
-        write_frame(&mut self.writer, FrameKind::SnapshotReq, &[]).map_err(ProtoError::Io)?;
-        let frame = self.expect_frame(FrameKind::Snapshot)?;
-        Ok(decode_snapshot(&frame.payload)?)
+        self.send(FrameKind::SnapshotReq, |_| {})?;
+        self.expect_frame(FrameKind::Snapshot)?;
+        Ok(decode_snapshot(&self.rx)?)
     }
 
     /// Requests the session's watch telemetry plus the fleet snapshot.
     /// Stats polling never touches the prediction [`digest`](Self::digest)
     /// — parity checks are unaffected by how often a client watches.
     pub fn stats(&mut self) -> Result<Stats, ClientError> {
-        write_frame(&mut self.writer, FrameKind::StatsReq, &[]).map_err(ProtoError::Io)?;
-        let frame = self.expect_frame(FrameKind::Stats)?;
-        Ok(decode_stats(&frame.payload)?)
+        self.send(FrameKind::StatsReq, |_| {})?;
+        self.expect_frame(FrameKind::Stats)?;
+        Ok(decode_stats(&self.rx)?)
     }
 
     /// Closes the session cleanly; the server discards it (it will not
     /// be resumable). Dropping a `Client` without `bye` leaves the
     /// session parked server-side for [`Client::resume_by_id`].
     pub fn bye(mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, FrameKind::Bye, &[]).map_err(ProtoError::Io)?;
-        Ok(())
+        self.send(FrameKind::Bye, |_| {})
     }
 }
 

@@ -15,14 +15,14 @@
 //! The CRC covers the kind byte and the payload, so neither can be
 //! corrupted undetected; payloads are capped at [`MAX_FRAME_PAYLOAD`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use paco_sim::OnlineConfig;
 use paco_sim::OnlineOutcome;
 use paco_sim::OutcomeBatch;
 use paco_trace::{decode_record, encode_record, DeltaState, TraceRecord};
 use paco_types::canon::Canon;
-use paco_types::wire::{crc32_update, read_uvarint, write_uvarint};
+use paco_types::wire::{crc32_update, put_uvarint, read_uvarint, write_uvarint, MAX_UVARINT_LEN};
 use paco_types::{DynInstr, EventBatch};
 
 /// Protocol version; bumped on any incompatible frame or payload change.
@@ -173,21 +173,47 @@ pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 /// into a connection's reused output buffer.
 pub fn encode_frame_into(out: &mut Vec<u8>, kind: FrameKind, payload: &[u8]) {
     out.reserve(payload.len() + 9);
+    encode_frame_with(out, kind, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one serialized frame to `out` whose payload `write_payload`
+/// appends in place, so a payload encoder can write straight into a
+/// reused output buffer with no intermediate payload copy. The length
+/// prefix is patched and the CRC computed once the payload is written.
+pub fn encode_frame_with(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
     out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32_update(crc32_update(!0u32, &[kind as u8]), payload) ^ !0u32;
+    out.extend_from_slice(&[0; 4]);
+    write_payload(out);
+    let len = out.len() - start - 5;
+    out[start + 1..start + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = frame_crc(kind as u8, &out[start + 5..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Writes one frame.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame_bytes(kind, payload))?;
-    w.flush()
+/// The frame checksum: CRC-32 over the kind byte, then the payload.
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    crc32_update(crc32_update(!0u32, &[kind]), payload) ^ !0u32
 }
 
 /// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtoError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.map(|kind| Frame { kind, payload }))
+}
+
+/// [`read_frame`] into a reused buffer: reads one frame, leaves its
+/// payload in `payload` (cleared first; its capacity is kept across
+/// frames) and returns its kind. `Ok(None)` on a clean EOF at a frame
+/// boundary; every verdict is [`read_frame`]'s.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<Option<FrameKind>, ProtoError> {
     let mut header = [0u8; 5];
     let mut got = 0;
     while got < header.len() {
@@ -203,17 +229,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtoError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(malformed(format!("frame payload {len} exceeds the cap")));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)
         .map_err(|_| malformed("eof inside a frame payload"))?;
     let mut crc_bytes = [0u8; 4];
     r.read_exact(&mut crc_bytes)
         .map_err(|_| malformed("eof inside a frame checksum"))?;
-    let expect = crc32_update(crc32_update(!0u32, &[header[0]]), &payload) ^ !0u32;
-    if u32::from_le_bytes(crc_bytes) != expect {
+    if u32::from_le_bytes(crc_bytes) != frame_crc(header[0], payload) {
         return Err(malformed("frame checksum mismatch"));
     }
-    Ok(Some(Frame { kind, payload }))
+    Ok(Some(kind))
 }
 
 // ------------------------------------------------------------------ //
@@ -894,12 +920,19 @@ pub fn decode_stats(mut input: &[u8]) -> Result<Stats, ProtoError> {
 /// independently).
 pub fn encode_events(instrs: &[DynInstr]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_uvarint(&mut out, instrs.len() as u64);
+    encode_events_into(&mut out, instrs);
+    out
+}
+
+/// [`encode_events`] appending to `out` without clearing it — the
+/// client encodes its EVENTS payload this way, straight into a reused
+/// frame buffer.
+pub fn encode_events_into(out: &mut Vec<u8>, instrs: &[DynInstr]) {
+    write_uvarint(out, instrs.len() as u64);
     let mut delta = DeltaState::default();
     for instr in instrs {
-        encode_record(&mut out, &mut delta, &TraceRecord::from(instr));
+        encode_record(out, &mut delta, &TraceRecord::from(instr));
     }
-    out
 }
 
 /// Decodes a batch of branch events.
@@ -959,6 +992,10 @@ const OUTCOME_PREDICTED: u8 = OutcomeBatch::FLAG_PREDICTED_TAKEN;
 const OUTCOME_MISPREDICTED: u8 = OutcomeBatch::FLAG_MISPREDICTED;
 const OUTCOME_HAS_PROB: u8 = OutcomeBatch::FLAG_HAS_PROB;
 
+/// The longest encoding of one outcome: flags, a maximal score varint
+/// and the probability bits.
+const MAX_OUTCOME_BYTES: usize = 1 + MAX_UVARINT_LEN + 8;
+
 /// Encodes a batch of prediction outcomes. This encoding is the parity
 /// surface: the integration suite requires the bytes streamed by
 /// `paco-served` to equal the bytes produced by an offline
@@ -992,18 +1029,29 @@ pub fn encode_outcomes(outcomes: &[OnlineOutcome]) -> Vec<u8> {
 /// wire flag bytes directly, so this is a straight copy-out); appends
 /// to `out` without clearing it, so a reused buffer must be cleared by
 /// the caller.
+///
+/// `out` is grown once to the worst case (19 bytes per outcome),
+/// written by index and truncated to the bytes written, so the loop
+/// carries no per-byte capacity checks.
 pub fn encode_outcomes_into(out: &mut Vec<u8>, outcomes: &OutcomeBatch) {
     write_uvarint(out, outcomes.len() as u64);
     let flags = outcomes.flags();
     let scores = outcomes.scores();
     let probs = outcomes.prob_bits();
-    for i in 0..outcomes.len() {
-        out.push(flags[i]);
-        write_uvarint(out, scores[i]);
-        if flags[i] & OUTCOME_HAS_PROB != 0 {
-            out.extend_from_slice(&probs[i].to_le_bytes());
+    let start = out.len();
+    out.resize(start + outcomes.len() * MAX_OUTCOME_BYTES, 0);
+    let buf = &mut out[start..];
+    let mut at = 0;
+    for ((&flag, &score), &prob) in flags.iter().zip(scores).zip(probs) {
+        buf[at] = flag;
+        at += 1;
+        at += put_uvarint(&mut buf[at..], score);
+        if flag & OUTCOME_HAS_PROB != 0 {
+            buf[at..at + 8].copy_from_slice(&prob.to_le_bytes());
+            at += 8;
         }
     }
+    out.truncate(start + at);
 }
 
 /// Decodes a batch of prediction outcomes.
@@ -1158,57 +1206,80 @@ pub fn decode_migrate_ack(mut input: &[u8]) -> Result<MigrateAck, ProtoError> {
 ///
 /// An oversized length prefix is rejected from the 5 header bytes
 /// alone, before any payload-sized allocation.
+///
+/// Decoding is linear in the bytes fed: a frame is consumed by moving a
+/// cursor, not by shifting the buffer, and the consumed prefix is
+/// compacted away in [`FrameDecoder::feed`] only once it is longer than
+/// the unconsumed rest (so each byte is moved O(1) times). The buffer
+/// therefore holds at most twice the unconsumed bytes at a feed, plus
+/// the bytes fed.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes of `buf` already consumed as frames.
+    pos: usize,
 }
 
 impl FrameDecoder {
     /// A decoder at a frame boundary with nothing buffered.
     pub fn new() -> Self {
-        FrameDecoder { buf: Vec::new() }
+        FrameDecoder::default()
     }
 
     /// Appends raw transport bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.pos * 2 > self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// The bytes buffered but not yet consumed as a frame.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.pos..]
     }
 
     /// Bytes buffered but not yet consumed as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Whether the decoder sits at a frame boundary (a clean EOF here is
     /// a clean close, not a protocol error).
     pub fn at_boundary(&self) -> bool {
-        self.buf.is_empty()
+        self.buffered() == 0
     }
 
     /// Extracts the next complete frame. `Ok(None)` means more bytes are
     /// needed; an error is terminal (the stream is unusable, matching
     /// [`read_frame`]'s verdict at the same point).
     pub fn try_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        if self.buf.len() < 5 {
+        let pending = self.pending();
+        if pending.len() < 5 {
             return Ok(None);
         }
-        let kind = FrameKind::from_byte(self.buf[0])
-            .ok_or_else(|| malformed(format!("unknown frame kind {:#04x}", self.buf[0])))?;
-        let len = u32::from_le_bytes(self.buf[1..5].try_into().unwrap()) as usize;
+        let kind = FrameKind::from_byte(pending[0])
+            .ok_or_else(|| malformed(format!("unknown frame kind {:#04x}", pending[0])))?;
+        let len = u32::from_le_bytes(pending[1..5].try_into().unwrap()) as usize;
         if len > MAX_FRAME_PAYLOAD {
             return Err(malformed(format!("frame payload {len} exceeds the cap")));
         }
         let total = 5 + len + 4;
-        if self.buf.len() < total {
+        if pending.len() < total {
             return Ok(None);
         }
-        let payload = self.buf[5..5 + len].to_vec();
-        let crc = u32::from_le_bytes(self.buf[5 + len..total].try_into().unwrap());
-        let expect = crc32_update(crc32_update(!0u32, &[self.buf[0]]), &payload) ^ !0u32;
-        if crc != expect {
+        let payload = &pending[5..5 + len];
+        let crc = u32::from_le_bytes(pending[5 + len..total].try_into().unwrap());
+        if crc != frame_crc(pending[0], payload) {
             return Err(malformed("frame checksum mismatch"));
         }
-        self.buf.drain(..total);
+        let payload = payload.to_vec();
+        self.pos += total;
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        }
         Ok(Some(Frame { kind, payload }))
     }
 
@@ -1217,14 +1288,15 @@ impl FrameDecoder {
     /// meaningful after [`FrameDecoder::try_frame`] returned `Ok(None)`
     /// (a decode error is already terminal).
     pub fn on_eof(&self) -> Result<(), ProtoError> {
-        if self.buf.is_empty() {
+        let pending = self.pending();
+        if pending.is_empty() {
             return Ok(());
         }
-        if self.buf.len() < 5 {
+        if pending.len() < 5 {
             return Err(malformed("eof inside a frame header"));
         }
-        let len = u32::from_le_bytes(self.buf[1..5].try_into().unwrap()) as usize;
-        if self.buf.len() < 5 + len {
+        let len = u32::from_le_bytes(pending[1..5].try_into().unwrap()) as usize;
+        if pending.len() < 5 + len {
             Err(malformed("eof inside a frame payload"))
         } else {
             Err(malformed("eof inside a frame checksum"))
@@ -1324,6 +1396,22 @@ mod tests {
     }
 
     #[test]
+    fn read_frame_into_reuses_its_buffer_and_agrees_with_read_frame() {
+        let mut stream = frame_bytes(FrameKind::Events, &[7u8; 300]);
+        stream.extend_from_slice(&frame_bytes(FrameKind::Bye, &[]));
+        stream.extend_from_slice(&frame_bytes(FrameKind::Stats, b"abc"));
+        let mut blocking = stream.as_slice();
+        let mut reused = stream.as_slice();
+        let mut payload = b"stale".to_vec();
+        while let Some(frame) = read_frame(&mut blocking).unwrap() {
+            let kind = read_frame_into(&mut reused, &mut payload).unwrap();
+            assert_eq!(kind, Some(frame.kind));
+            assert_eq!(payload, frame.payload);
+        }
+        assert_eq!(read_frame_into(&mut reused, &mut payload).unwrap(), None);
+    }
+
+    #[test]
     fn clean_eof_is_none_mid_frame_is_error() {
         assert!(read_frame(&mut &b""[..]).unwrap().is_none());
         let bytes = frame_bytes(FrameKind::Bye, &[]);
@@ -1418,6 +1506,11 @@ mod tests {
         ];
         let payload = encode_events(&instrs);
         assert_eq!(decode_events(&payload).unwrap(), instrs);
+
+        let mut out = b"pending".to_vec();
+        encode_events_into(&mut out, &instrs);
+        assert_eq!(&out[..7], b"pending");
+        assert_eq!(&out[7..], payload.as_slice());
     }
 
     #[test]
@@ -1484,6 +1577,14 @@ mod tests {
                 predicted_taken: true,
                 mispredicted: true,
             },
+            // A 10-byte score varint plus the probability: the full
+            // MAX_OUTCOME_BYTES worst case.
+            OnlineOutcome {
+                score: u64::MAX,
+                prob_bits: Some(u64::MAX),
+                predicted_taken: true,
+                mispredicted: true,
+            },
         ];
         let mut batch = OutcomeBatch::new();
         for o in &outcomes {
@@ -1493,6 +1594,17 @@ mod tests {
         encode_outcomes_into(&mut from_batch, &batch);
         assert_eq!(from_batch, encode_outcomes(&outcomes));
         assert_eq!(decode_outcomes(&from_batch).unwrap(), outcomes);
+
+        let mut worst = OutcomeBatch::new();
+        worst.push(&outcomes[3]);
+        let mut one = Vec::new();
+        encode_outcomes_into(&mut one, &worst);
+        assert_eq!(one.len(), 1 + MAX_OUTCOME_BYTES);
+
+        let mut appended = b"pending".to_vec();
+        encode_outcomes_into(&mut appended, &batch);
+        assert_eq!(&appended[..7], b"pending");
+        assert_eq!(&appended[7..], from_batch.as_slice());
     }
 
     #[test]
@@ -1685,6 +1797,33 @@ mod tests {
         }
         assert!(read_frame(&mut cursor).unwrap().is_none());
         assert_eq!(got.len(), frames.len());
+    }
+
+    #[test]
+    fn frame_decoder_is_linear_in_buffered_frames() {
+        // One sweep may buffer up to the read high-water mark before it
+        // dispatches; draining those frames must not shift the rest of
+        // the buffer once per frame, which made this input take tens of
+        // seconds even in a release build.
+        let frame = frame_bytes(FrameKind::Events, &[0]);
+        assert_eq!(frame.len(), 10);
+        let count = (4 << 20) / frame.len();
+        let stream = frame.repeat(count);
+        let started = std::time::Instant::now();
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&stream);
+        let mut decoded = 0;
+        while let Some(got) = decoder.try_frame().unwrap() {
+            assert_eq!(got.payload, [0]);
+            decoded += 1;
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(decoded, 419_430);
+        assert!(decoder.at_boundary());
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "decoding {decoded} buffered frames took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -50,9 +50,9 @@ use paco_types::fingerprint::code_fingerprint;
 use crate::metrics::{ServeMetrics, SessionMode};
 use crate::proto::{
     decode_events_into, decode_hello, decode_migrate_req, encode_error, encode_frame_into,
-    encode_migrate_ack, encode_outcomes_into, encode_snapshot, encode_stats, encode_welcome,
-    ErrorCode, FleetStats, Frame, FrameDecoder, FrameKind, Hello, MigrateAck, ProtoError, Resume,
-    Snapshot, Stats, Welcome, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
+    encode_frame_with, encode_migrate_ack, encode_outcomes_into, encode_snapshot, encode_stats,
+    encode_welcome, ErrorCode, FleetStats, Frame, FrameDecoder, FrameKind, Hello, MigrateAck,
+    ProtoError, Resume, Snapshot, Stats, Welcome, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::session::{Session, SessionTable};
 use crate::watch::{FleetAggregator, WatchState};
@@ -73,7 +73,9 @@ const MAX_FRAME_BYTES: usize = 5 + MAX_FRAME_PAYLOAD + 4;
 /// A connection whose decoder already buffers this much stops reading
 /// until frames drain — keeps one fire-hose client from starving its
 /// shard's siblings. One maximal frame always fits, so every legal frame
-/// completes; a decoder holds less than this plus one [`READ_CHUNK`].
+/// completes; a decoder holds less than this plus one [`READ_CHUNK`]
+/// unconsumed, and at most as much again of consumed prefix awaiting
+/// compaction.
 const READ_HIGH_WATER: usize = MAX_FRAME_BYTES;
 
 /// A connection whose unflushed output reaches this much stops reading
@@ -482,7 +484,6 @@ fn proto_msg(e: ProtoError) -> String {
 struct Scratch {
     events: paco_types::EventBatch,
     outcomes: paco_sim::OutcomeBatch,
-    predictions: Vec<u8>,
     read_buf: Vec<u8>,
 }
 
@@ -491,7 +492,6 @@ impl Scratch {
         Scratch {
             events: paco_types::EventBatch::new(),
             outcomes: paco_sim::OutcomeBatch::new(),
-            predictions: Vec::new(),
             read_buf: vec![0u8; READ_CHUNK],
         }
     }
@@ -821,9 +821,9 @@ impl Worker {
                 ctx.session
                     .pipeline
                     .run_batch(&scratch.events, &mut scratch.outcomes);
-                scratch.predictions.clear();
-                encode_outcomes_into(&mut scratch.predictions, &scratch.outcomes);
-                encode_frame_into(out, FrameKind::Predictions, &scratch.predictions);
+                encode_frame_with(out, FrameKind::Predictions, |out| {
+                    encode_outcomes_into(out, &scratch.outcomes)
+                });
                 // Watch telemetry rides the hot loop allocation-free;
                 // the fleet fold (which locks) runs at a batch cadence.
                 ctx.session.watch.observe_batch(&scratch.outcomes);

@@ -85,6 +85,7 @@
 //! The `paco-trace` binary (`src/bin/paco_trace.rs`) wraps this into
 //! `record`, `replay`, `info` and `diff` subcommands.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

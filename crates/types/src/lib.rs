@@ -19,6 +19,7 @@
 //! assert!((hits as f64 - 2_500.0).abs() < 250.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

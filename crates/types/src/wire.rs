@@ -7,6 +7,15 @@
 //! dependency-free vocabulary crate, with a single implementation and a
 //! single test suite. `paco-trace` re-exports them for compatibility.
 //!
+//! The CRC is computed slice-by-8: eight 1 KiB tables fold eight input
+//! bytes per step with independent lookups instead of a serial chain of
+//! eight. Every framed byte crosses it up to four times per served
+//! round trip (client encode, server decode, server encode, client
+//! decode), and the byte-at-a-time loop was the largest per-byte cost
+//! on that path. It is plain safe code, so the trace format, the result
+//! cache and the network protocol all share the one implementation; the
+//! byte-at-a-time loop survives in the tests as the reference.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,6 +40,26 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// The longest LEB128 encoding of a `u64`.
+pub const MAX_UVARINT_LEN: usize = 10;
+
+/// Writes `v` as a LEB128 varint into the front of `buf` and returns the
+/// number of bytes written — the same bytes [`write_uvarint`] appends,
+/// for encoders that reserve a worst case once and write by index.
+/// Panics if `buf` is shorter than the encoding
+/// ([`MAX_UVARINT_LEN`] always suffices).
+#[inline]
+pub fn put_uvarint(buf: &mut [u8], mut v: u64) -> usize {
+    let mut i = 0;
+    while v >= 0x80 {
+        buf[i] = (v as u8) | 0x80;
+        v >>= 7;
+        i += 1;
+    }
+    buf[i] = v as u8;
+    i + 1
 }
 
 /// Reads a LEB128 varint from the front of `input`, advancing it.
@@ -61,8 +90,12 @@ pub const fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The eight slice-by-8 lookup tables. `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC contribution of
+/// byte `b` followed by `k` zero bytes, so eight input bytes fold into
+/// the state with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -75,13 +108,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3) of `data`, used as the payload checksum by every
 /// framed format in the workspace.
@@ -93,8 +136,22 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// by XORing with `!0u32`); lets framed formats checksum a header byte
 /// plus a payload without concatenating them.
 pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        state = (state >> 8) ^ CRC_TABLE[((state ^ b as u32) & 0xff) as usize];
+    let t = &CRC_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][hi as u8 as usize]
+            ^ t[2][(hi >> 8) as u8 as usize]
+            ^ t[1][(hi >> 16) as u8 as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][(state as u8 ^ b) as usize];
     }
     state
 }
@@ -123,6 +180,20 @@ mod tests {
             let mut s = buf.as_slice();
             assert_eq!(read_uvarint(&mut s), Some(v));
             assert!(s.is_empty());
+        }
+    }
+
+    #[test]
+    fn put_uvarint_writes_what_write_uvarint_appends() {
+        let mut values = vec![0, 1, 127, 128, 300, 16_383, 16_384, u64::MAX];
+        values.extend((0..64).map(|shift| 1u64 << shift));
+        values.extend((1..64).map(|shift| (1u64 << shift) - 1));
+        for v in values {
+            let mut appended = Vec::new();
+            write_uvarint(&mut appended, v);
+            let mut buf = [0xaau8; MAX_UVARINT_LEN];
+            let n = put_uvarint(&mut buf, v);
+            assert_eq!(&buf[..n], appended.as_slice(), "value {v}");
         }
     }
 
@@ -159,5 +230,47 @@ mod tests {
     fn crc32_update_chains_like_concatenation() {
         let state = crc32_update(!0u32, b"12345");
         assert_eq!(crc32_update(state, b"6789") ^ !0u32, crc32(b"123456789"));
+    }
+
+    /// The byte-at-a-time CRC the slice-by-8 loop must agree with.
+    fn crc32_update_reference(mut state: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            state = (state >> 8) ^ CRC_TABLES[0][((state ^ b as u32) & 0xff) as usize];
+        }
+        state
+    }
+
+    fn seeded_bytes(len: usize) -> Vec<u8> {
+        let mut rng = crate::SplitMix64::new(0x5eed_c0c0);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_matches_byte_at_a_time_reference() {
+        let buf = seeded_bytes(256 + 8);
+        for offset in 0..8 {
+            for len in 0..=256 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32_update(!0u32, data),
+                    crc32_update_reference(!0u32, data),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_update_chains_at_every_cut() {
+        let data = seeded_bytes(100);
+        let whole = crc32(&data);
+        for cut in 0..=data.len() {
+            let state = crc32_update(!0u32, &data[..cut]);
+            assert_eq!(
+                crc32_update(state, &data[cut..]) ^ !0u32,
+                whole,
+                "cut {cut}"
+            );
+        }
     }
 }
