@@ -24,30 +24,24 @@ use crate::json::run_json;
 use crate::runner::env_params;
 
 /// Parsed `run` options.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct RunOptions {
     jobs: Option<usize>,
     no_cache: bool,
     json: bool,
     help: bool,
-    /// `--batch N[,N…]`: hotpath-only batch-size sweep.
-    batch: Option<Vec<usize>>,
 }
 
 const USAGE: &str = "usage:
   paco-bench list
   paco-bench run <experiment>... [--jobs N] [--no-cache] [--json]
-                                 [--batch N[,N...]]
   paco-bench version
 
 Run `paco-bench list` for the available experiments; `all` runs every
 one. PACO_INSTRS / PACO_SEED / PACO_WARMUP adjust run lengths, and
 PACO_BENCH_CACHE_DIR relocates the result cache
-(default: target/paco-bench-cache). `--batch` applies to the hotpath
-experiment only: it sweeps the batched pipeline lane across the given
-frame sizes (e.g. `--batch 64,128,512,2048`) on top of the default
-512-event frames. `version` prints the executable fingerprint that
-keys the result cache.";
+(default: target/paco-bench-cache). `version` prints the executable
+fingerprint that keys the result cache.";
 
 /// Entry point for the `paco-bench` binary. Returns the process exit
 /// code.
@@ -65,13 +59,10 @@ pub fn main_multi(args: &[String]) -> i32 {
                 0
             }
             Ok((ids, opts)) if !ids.is_empty() => {
-                let mut code = 0;
                 for id in ids {
-                    if !run_experiment(id, opts.clone()) {
-                        code = 1;
-                    }
+                    run_experiment(id, &opts);
                 }
-                code
+                0
             }
             Ok(_) => {
                 eprintln!("paco-bench: run requires at least one experiment name\n{USAGE}");
@@ -128,11 +119,8 @@ pub fn main_single(id: ExperimentId, args: &[String]) -> i32 {
             2
         }
         Ok((_, opts)) => {
-            if run_experiment(id, opts) {
-                0
-            } else {
-                1
-            }
+            run_experiment(id, &opts);
+            0
         }
         Err(e) => {
             eprintln!("paco-bench({}): {e}\n{usage}", id.name());
@@ -160,20 +148,6 @@ fn parse_run(args: &[String]) -> Result<(Vec<ExperimentId>, RunOptions), String>
             "--no-cache" => opts.no_cache = true,
             "--json" => opts.json = true,
             "--help" | "-h" => opts.help = true,
-            "--batch" => {
-                let v = it.next().ok_or("--batch requires a value")?;
-                let sizes = v
-                    .split(',')
-                    .map(|s| match s.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => Ok(n),
-                        _ => Err(format!("invalid --batch size {s:?}")),
-                    })
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if sizes.is_empty() {
-                    return Err("--batch requires at least one size".into());
-                }
-                opts.batch = Some(sizes);
-            }
             "all" => {
                 for id in ALL_EXPERIMENTS {
                     if !ids.contains(&id) {
@@ -196,94 +170,8 @@ fn parse_run(args: &[String]) -> Result<(Vec<ExperimentId>, RunOptions), String>
     Ok((ids, opts))
 }
 
-/// Runs one experiment; `false` on failure (a parity break or server
-/// error in `serve_throughput` must fail the process, not just print).
-fn run_experiment(id: ExperimentId, opts: RunOptions) -> bool {
-    if opts.batch.is_some() && id != ExperimentId::Hotpath {
-        eprintln!(
-            "paco-bench: warning: --batch only applies to the hotpath experiment; \
-             ignored for {}",
-            id.name()
-        );
-    }
-    // The service experiments measure wall-clock behavior (a real
-    // loopback server / the two pipeline lanes); they bypass the engine
-    // and are never cached.
-    if id == ExperimentId::ServeThroughput {
-        let started = Instant::now();
-        return match crate::serve_bench::run_serve_throughput() {
-            Ok(report) => {
-                if opts.json {
-                    println!("{}", report.render_json());
-                } else {
-                    print!("{}", crate::serve_bench::render_text(&report));
-                }
-                eprintln!(
-                    "paco-bench: serve_throughput: events={} sessions={} secs={:.2}",
-                    report.events,
-                    report.sessions.len(),
-                    started.elapsed().as_secs_f64()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("paco-bench: serve_throughput failed: {e}");
-                false
-            }
-        };
-    }
-    if id == ExperimentId::ServeScale {
-        let started = Instant::now();
-        return match crate::serve_scale::run_serve_scale() {
-            Ok(report) => {
-                if opts.json {
-                    println!("{}", report.render_json());
-                } else {
-                    print!("{}", crate::serve_scale::render_text(&report));
-                }
-                eprintln!(
-                    "paco-bench: serve_scale: sessions={} peak_parked={} migrated={} secs={:.2}",
-                    report.sessions,
-                    report.peak_parked,
-                    report.migrated,
-                    started.elapsed().as_secs_f64()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("paco-bench: serve_scale failed: {e}");
-                false
-            }
-        };
-    }
-    if id == ExperimentId::Hotpath {
-        let started = Instant::now();
-        let result = match &opts.batch {
-            Some(sizes) => crate::hotpath::run_hotpath_sweep(sizes),
-            None => crate::hotpath::run_hotpath(),
-        };
-        return match result {
-            Ok(report) => {
-                if opts.json {
-                    println!("{}", crate::hotpath::render_json(&report));
-                } else {
-                    print!("{}", crate::hotpath::render_text(&report));
-                }
-                eprintln!(
-                    "paco-bench: hotpath: events={} estimators={} secs={:.2}",
-                    report.events,
-                    report.rows.len(),
-                    started.elapsed().as_secs_f64()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("paco-bench: hotpath failed (lane divergence or setup): {e}");
-                false
-            }
-        };
-    }
-
+/// Runs one experiment through the engine and prints its artifact.
+fn run_experiment(id: ExperimentId, opts: &RunOptions) {
     let params = env_params(id.default_instrs());
     let spec = id.spec(params);
 
@@ -322,7 +210,6 @@ fn run_experiment(id: ExperimentId, opts: RunOptions) -> bool {
         run.executed,
         run.jobs
     );
-    true
 }
 
 #[cfg(test)]
@@ -354,19 +241,6 @@ mod tests {
         assert!(parse_run(&strs(&["--bogus"])).is_err());
         assert!(parse_run(&strs(&["fig2", "--jobs"])).is_err());
         assert!(parse_run(&strs(&["fig2", "--jobs", "0"])).is_err());
-    }
-
-    #[test]
-    fn parses_batch_sweep_list() {
-        let (ids, opts) = parse_run(&strs(&["hotpath", "--batch", "64,128,512,2048"])).unwrap();
-        assert_eq!(ids, vec![ExperimentId::Hotpath]);
-        assert_eq!(opts.batch, Some(vec![64, 128, 512, 2048]));
-        let (_, single) = parse_run(&strs(&["hotpath", "--batch", "256"])).unwrap();
-        assert_eq!(single.batch, Some(vec![256]));
-        assert!(parse_run(&strs(&["hotpath", "--batch"])).is_err());
-        assert!(parse_run(&strs(&["hotpath", "--batch", "0"])).is_err());
-        assert!(parse_run(&strs(&["hotpath", "--batch", "64,x"])).is_err());
-        assert!(parse_run(&strs(&["hotpath", "--batch", ""])).is_err());
     }
 
     #[test]

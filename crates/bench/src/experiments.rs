@@ -30,7 +30,7 @@ use crate::runner::paco_estimator;
 use crate::spec::{CellSpec, ExperimentSpec, RunParams};
 
 /// Identifies a named experiment: the eight paper artifacts plus the
-/// service-level `serve_throughput` measurement.
+/// corpus robustness sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum ExperimentId {
@@ -47,26 +47,10 @@ pub enum ExperimentId {
     /// systematic answer to "where does the estimator break". Not a
     /// paper artifact (the paper evaluates on its tuning suite only).
     Robustness,
-    /// End-to-end throughput/latency of the streaming prediction service
-    /// (`crate::serve_bench`). Runs a real loopback server — not an
-    /// engine cell grid, and never cached.
-    ServeThroughput,
-    /// Churn-storm scale test of the sharded reactor
-    /// (`crate::serve_scale`): thousands of sessions parked, resumed
-    /// and migrated, every one digest-checked against offline replay.
-    /// Runs a real loopback server — not an engine cell grid, and
-    /// never cached.
-    ServeScale,
-    /// Per-event vs batched confidence-lane microbenchmark
-    /// (`crate::hotpath`). Wall-clock measurement with a built-in
-    /// lane-parity gate — not an engine cell grid, and never cached.
-    /// Its `--json` output seeds `BENCH_baseline.json`.
-    Hotpath,
 }
 
-/// All experiments, in paper order (corpus and service measurements
-/// last).
-pub const ALL_EXPERIMENTS: [ExperimentId; 12] = [
+/// All experiments, in paper order (the corpus sweep last).
+pub const ALL_EXPERIMENTS: [ExperimentId; 9] = [
     ExperimentId::Fig2,
     ExperimentId::Fig3,
     ExperimentId::Tab7,
@@ -76,9 +60,6 @@ pub const ALL_EXPERIMENTS: [ExperimentId; 12] = [
     ExperimentId::TabA1,
     ExperimentId::Ablations,
     ExperimentId::Robustness,
-    ExperimentId::ServeThroughput,
-    ExperimentId::ServeScale,
-    ExperimentId::Hotpath,
 ];
 
 impl ExperimentId {
@@ -94,9 +75,6 @@ impl ExperimentId {
             ExperimentId::TabA1 => "tab_a1",
             ExperimentId::Ablations => "ablations",
             ExperimentId::Robustness => "robustness",
-            ExperimentId::ServeThroughput => "serve_throughput",
-            ExperimentId::ServeScale => "serve_scale",
-            ExperimentId::Hotpath => "hotpath",
         }
     }
 
@@ -113,15 +91,6 @@ impl ExperimentId {
             ExperimentId::Ablations => "refresh-period / log-mode / throttling ablations",
             ExperimentId::Robustness => {
                 "corpus robustness — every estimator kind × every synthetic workload family"
-            }
-            ExperimentId::ServeThroughput => {
-                "streaming service throughput + latency percentiles (loopback, uncached)"
-            }
-            ExperimentId::ServeScale => {
-                "churn-storm scale: 10k sessions parked/resumed/migrated, parity-gated (loopback, uncached)"
-            }
-            ExperimentId::Hotpath => {
-                "per-event vs batched confidence-lane throughput (parity-gated, uncached)"
             }
         }
     }
@@ -147,9 +116,6 @@ impl ExperimentId {
             ExperimentId::TabA1 => 600_000,
             ExperimentId::Ablations => 400_000,
             ExperimentId::Robustness => 400_000,
-            ExperimentId::ServeThroughput => crate::serve_bench::DEFAULT_INSTRS,
-            ExperimentId::ServeScale => crate::serve_scale::DEFAULT_INSTRS,
-            ExperimentId::Hotpath => crate::hotpath::DEFAULT_INSTRS,
         }
     }
 
@@ -218,10 +184,6 @@ impl ExperimentId {
                     }
                 }
             }
-            // Not engine experiments: the CLI routes these to
-            // `serve_bench` / `serve_scale` / `hotpath` before building
-            // a spec; the empty grids keep `spec()` total.
-            ExperimentId::ServeThroughput | ExperimentId::ServeScale | ExperimentId::Hotpath => {}
             ExperimentId::Ablations => {
                 for period in ABLATION_PERIODS {
                     let est = EstimatorKind::Paco(PacoConfig::paper().with_refresh_period(period));
@@ -256,17 +218,6 @@ impl ExperimentId {
             ExperimentId::TabA1 => render_tab_a1(set),
             ExperimentId::Ablations => render_ablations(set),
             ExperimentId::Robustness => render_robustness(set),
-            ExperimentId::ServeThroughput => {
-                "serve_throughput runs outside the engine; see `paco-bench run serve_throughput`\n"
-                    .to_string()
-            }
-            ExperimentId::ServeScale => {
-                "serve_scale runs outside the engine; see `paco-bench run serve_scale`\n"
-                    .to_string()
-            }
-            ExperimentId::Hotpath => {
-                "hotpath runs outside the engine; see `paco-bench run hotpath`\n".to_string()
-            }
         }
     }
 }
@@ -1111,15 +1062,6 @@ mod tests {
         let p = tiny_params();
         for id in ALL_EXPERIMENTS {
             let spec = id.spec(p);
-            // The service experiments run outside the engine: their
-            // grids are intentionally empty and the CLI never builds them.
-            if matches!(
-                id,
-                ExperimentId::ServeThroughput | ExperimentId::ServeScale | ExperimentId::Hotpath
-            ) {
-                assert!(spec.cells().is_empty());
-                continue;
-            }
             assert!(!spec.cells().is_empty(), "{} spec is empty", id.name());
             // Dedup holds: no two cells equal.
             for (i, a) in spec.cells().iter().enumerate() {

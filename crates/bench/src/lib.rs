@@ -42,11 +42,8 @@ pub mod cache;
 pub mod cli;
 pub mod engine;
 pub mod experiments;
-pub mod hotpath;
 pub mod json;
 pub mod runner;
-pub mod serve_bench;
-pub mod serve_scale;
 pub mod spec;
 
 pub use runner::{

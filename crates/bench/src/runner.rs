@@ -1,7 +1,7 @@
 //! Shared machinery for the experiment harnesses.
 //!
 //! The run helpers (`accuracy_run`, `gating_run`, …) are the stable,
-//! call-it-from-anywhere API used by the integration suites and benches.
+//! call-it-from-anywhere API used by the integration suites.
 //! Since the engine refactor they are thin adapters over
 //! [`engine::execute_cell`](crate::engine::execute_cell) — one execution
 //! recipe, shared with the parallel engine — so a helper result and the

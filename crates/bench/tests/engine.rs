@@ -259,12 +259,6 @@ fn all_experiments_render_through_the_engine() {
         if matches!(id, ExperimentId::Fig10 | ExperimentId::Fig12) && cfg!(debug_assertions) {
             continue; // debug builds: covered by the release CI run
         }
-        if matches!(
-            id,
-            ExperimentId::ServeThroughput | ExperimentId::ServeScale | ExperimentId::Hotpath
-        ) {
-            continue; // not engine experiments; each has its own tests
-        }
         let spec = id.spec(p);
         let run = Engine::new().run(&spec);
         let set = paco_bench::experiments::ResultSet {

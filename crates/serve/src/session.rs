@@ -60,8 +60,8 @@ pub struct SessionTable {
 
 impl SessionTable {
     /// Parked sessions a shard retains before evicting the oldest.
-    /// Sized so the default 8-shard table holds the `serve_scale`
-    /// churn storm's ≥10k parked sessions without evictions.
+    /// Sized so an 8-shard table holds a 10k-session churn storm
+    /// parked at once without evictions.
     pub const MAX_PARKED_PER_SHARD: usize = 2048;
 
     /// Creates a table with `shards` shards (at least 1).

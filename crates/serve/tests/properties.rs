@@ -7,7 +7,7 @@
 //! live migration between worker shards preserves byte-identical
 //! predictions at arbitrary cut points for every estimator kind.
 
-use paco::{PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
+use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
 use paco_serve::proto::{
     decode_events, decode_hello, decode_outcomes, decode_stats, encode_events, encode_hello,
     encode_outcomes, encode_stats, frame_bytes, read_frame, Digest, FleetStats, Frame,
@@ -488,13 +488,14 @@ fn decoder_rejects_oversized_claim_from_header_alone() {
 // ---------------------------------------------------------------------
 
 /// Every estimator kind the service can host.
-fn all_estimator_kinds() -> [EstimatorKind; 5] {
+fn all_estimator_kinds() -> [EstimatorKind; 6] {
     [
         EstimatorKind::None,
         EstimatorKind::Paco(PacoConfig::paper()),
         EstimatorKind::ThresholdCount(ThresholdCountConfig::paper_default()),
         EstimatorKind::StaticMrt,
         EstimatorKind::PerBranchMrt(PerBranchMrtConfig::paper()),
+        EstimatorKind::AdaptiveMrt(AdaptiveMrtConfig::paper()),
     ]
 }
 

@@ -49,8 +49,9 @@
 //! assumed: the unit suite replays long streams through both lanes at
 //! several batch sizes for every estimator kind, the serve integration
 //! suite compares server bytes (batched) against offline replay
-//! (per-event), and every `paco-load` or `hotpath` run digest-compares
-//! the lanes before reporting a number.
+//! (per-event) for every estimator kind through the live reactor, and
+//! every `paco-load` and `servebench` run digest-compares the served
+//! stream against the per-event lane.
 //!
 //! `paco-served` runs one pipeline per session; the parity tests replay
 //! the same trace through a pipeline offline and require equality to the
@@ -419,8 +420,9 @@ impl PipelineCore {
     /// step below: its job is to state the event semantics legibly and
     /// serve as the baseline the batched lane is proven against
     /// (outcome-by-outcome and wire-byte equality in the sim/serve
-    /// suites, plus a digest gate on every `hotpath`/`paco-load` run)
-    /// and measured against (the `hotpath` experiment). Any change to
+    /// suites, plus a digest gate on every `paco-load`/`servebench`
+    /// run) and measured against (`servebench`'s `sim.oracle_ns_per_ev`
+    /// and `sim.kernel_ns_per_ev.*` lanes). Any change to
     /// the semantics must be made to both bodies; the parity tests
     /// fail loudly if only one moves.
     fn step_reference(
@@ -730,7 +732,7 @@ impl OnlinePipeline {
     /// Outcomes are identical to feeding the same events through
     /// `on_instr` one at a time — asserted per outcome and per wire
     /// byte by the sim/serve suites and digest-checked on every
-    /// `paco-load`/`hotpath` run. The lanes can be interleaved freely
+    /// `paco-load`/`servebench` run. The lanes can be interleaved freely
     /// on one pipeline (they share the tables and the in-flight
     /// window).
     pub fn run_batch(&mut self, events: &EventBatch, out: &mut OutcomeBatch) {

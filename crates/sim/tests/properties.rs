@@ -34,7 +34,7 @@ fn all_kinds() -> Vec<EstimatorKind> {
 }
 
 /// A control-event stream from the synthetic gzip workload — the same
-/// extraction the hotpath bench and the serve loop use.
+/// extraction `servebench` and the serve parity tests use.
 fn control_events(seed: u64, count: usize) -> Vec<DynInstr> {
     let mut workload = BenchmarkId::Gzip.build(seed);
     let mut events = Vec::with_capacity(count);

@@ -1,7 +1,7 @@
 //! Struct-of-arrays batches of dynamic branch events.
 //!
 //! The streaming confidence hot path (`paco-served`, the offline
-//! pipeline replay, the `hotpath` bench lanes) processes events in
+//! pipeline replay, `servebench`'s kernel lanes) processes events in
 //! frames of a few hundred. Handling them as a `Vec<DynInstr>` pays for
 //! a 56-byte array-of-structs element — most of it (`deps`, `mem`)
 //! never read by the confidence pipeline — plus an allocation per
