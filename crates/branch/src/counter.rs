@@ -243,7 +243,9 @@ impl CounterTable {
             return false;
         }
         let (bytes, rest) = input.split_at(self.values.len());
-        if bytes.iter().any(|&v| v > self.max) {
+        // A max fold, not an early-exit `any`: it vectorizes, and a
+        // restore reads whole tables of valid counters.
+        if bytes.iter().fold(0, |m, &v| m.max(v)) > self.max {
             return false;
         }
         self.values.copy_from_slice(bytes);
@@ -286,6 +288,28 @@ mod tests {
         assert_eq!(c.value(), 15);
         c.reset();
         assert_eq!(c.value(), 0);
+    }
+
+    #[test]
+    fn load_state_refuses_an_out_of_range_counter_anywhere() {
+        let mut table = CounterTable::new(2, 1, 64);
+        table.increment(5);
+        let mut blob = Vec::new();
+        table.save_state(&mut blob);
+        let mut input = blob.as_slice();
+        assert!(CounterTable::new(2, 0, 64).load_state(&mut input));
+        assert!(input.is_empty());
+
+        let first = blob.len() - table.len();
+        for idx in [0, table.len() / 2, table.len() - 1] {
+            let mut bad = blob.clone();
+            bad[first + idx] = table.max() + 1;
+            let mut input = bad.as_slice();
+            assert!(
+                !CounterTable::new(2, 0, 64).load_state(&mut input),
+                "counter {idx} = max + 1 must be refused"
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod confidence;
 mod counter;
 mod gshare;
 mod indirect;
-mod perceptron;
 mod ras;
 mod tournament;
 
@@ -53,7 +52,6 @@ pub use confidence::{ConfidenceConfig, Mdc, MdcIndex, MdcTable};
 pub use counter::{CounterTable, SaturatingCounter};
 pub use gshare::GsharePredictor;
 pub use indirect::IndirectPredictor;
-pub use perceptron::{PerceptronConfidence, PerceptronConfig};
 pub use ras::ReturnAddressStack;
 pub use tournament::{TournamentConfig, TournamentPredictor};
 

@@ -49,18 +49,15 @@ pub enum FlightKind {
     /// A session's drift detector latched. `a` = session id, `b` = the
     /// 1-based window index at which the flag latched.
     DriftLatch = 9,
-    /// A session moved to another worker shard via the snapshot path.
-    /// `a` = session id, `b` = packed shards (`from << 32 | to`).
+    /// A session's connection, live pipeline included, moved to another
+    /// worker shard. `a` = session id, `b` = packed shards
+    /// (`from << 32 | to`).
     SessionMigrate = 10,
-    /// A migration's snapshot restore failed and the session fell back
-    /// to moving its live state directly. `a` = session id, `b` =
-    /// packed shards (`from << 32 | to`).
-    MigrateFail = 11,
 }
 
 impl FlightKind {
     /// Every kind, in code order — the doc-drift catalog iterates this.
-    pub const ALL: [FlightKind; 11] = [
+    pub const ALL: [FlightKind; 10] = [
         FlightKind::ConnOpen,
         FlightKind::ConnClose,
         FlightKind::FrameError,
@@ -71,7 +68,6 @@ impl FlightKind {
         FlightKind::SessionBye,
         FlightKind::DriftLatch,
         FlightKind::SessionMigrate,
-        FlightKind::MigrateFail,
     ];
 
     /// The kind's stable kebab-case name (used in dumps and docs).
@@ -87,7 +83,6 @@ impl FlightKind {
             FlightKind::SessionBye => "session-bye",
             FlightKind::DriftLatch => "drift-latch",
             FlightKind::SessionMigrate => "session-migrate",
-            FlightKind::MigrateFail => "migrate-fail",
         }
     }
 
@@ -102,7 +97,7 @@ impl FlightKind {
             | FlightKind::SessionRestore
             | FlightKind::SessionBye => format!("session={a}"),
             FlightKind::DriftLatch => format!("session={a} window={b}"),
-            FlightKind::SessionMigrate | FlightKind::MigrateFail => {
+            FlightKind::SessionMigrate => {
                 format!("session={a} shard={}->{}", b >> 32, b & 0xffff_ffff)
             }
         }
@@ -165,7 +160,7 @@ impl FlightRecorder {
     pub const DEFAULT_RING_CAPACITY: usize = 512;
 
     /// Per-kind counter slots (covers every `FlightKind` repr value).
-    const KIND_SLOTS: usize = 12;
+    const KIND_SLOTS: usize = 11;
 
     /// A recorder with the default per-ring capacity.
     pub fn new() -> Self {
@@ -345,7 +340,6 @@ mod tests {
         rec.record(FlightKind::SessionMigrate, 9, 3 << 32 | 5);
         assert_eq!(rec.recorded_of(FlightKind::SessionPark), 9);
         assert_eq!(rec.recorded_of(FlightKind::SessionMigrate), 1);
-        assert_eq!(rec.recorded_of(FlightKind::MigrateFail), 0);
         let text = rec.render();
         assert!(text.contains("session=9 shard=3->5"));
     }

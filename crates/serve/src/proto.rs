@@ -1094,8 +1094,7 @@ pub fn decode_outcomes(mut input: &[u8]) -> Result<Vec<OnlineOutcome>, ProtoErro
 // ------------------------------------------------------------------ //
 
 /// A client → server [`FrameKind::Migrate`] payload: move the
-/// connection's session to another worker shard via the park → restore
-/// snapshot path.
+/// connection's live session to another worker shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrateReq {
     /// The session to move. Must be the session attached to the

@@ -20,17 +20,17 @@
 //! timeout, so an idle server uses no CPU. That call makes this module
 //! Linux-only.
 //!
-//! **Live migration**: a session moves between workers by saving its
-//! pipeline SNAPSHOT blob on the source worker and restoring it on the
-//! target — the same blob clients carry across reconnects, so the
-//! migration path *is* the snapshot path and inherits its bit-exactness
-//! proof. Exposed two ways: the operator `MIGRATE` control frame, and
-//! an automatic load-threshold policy that sheds one session from a hot
-//! worker to the least-loaded one (read from the
+//! **Live migration**: a session moves between workers the way the
+//! HELLO handoff moves it — the source worker sends the connection,
+//! live pipeline included, to the target's inbox. Nothing is copied or
+//! rebuilt, so the session's next outcome is the one it would have
+//! produced unmoved. Exposed two ways: the operator `MIGRATE` control
+//! frame, and an automatic load-threshold policy that sheds one session
+//! from a hot worker to the least-loaded one (read from the
 //! `paco_shard_connections` gauges). A [`FaultInjector`] seam lets the
-//! test harness stall a shard, tear a migration snapshot mid-write, or
-//! sever a connection mid-migration; every fault must leave surviving
-//! sessions byte-identical to offline replay.
+//! test harness stall a shard or sever a connection mid-migration;
+//! every fault must leave surviving sessions byte-identical to offline
+//! replay.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -44,7 +44,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use paco_obs::FlightKind;
-use paco_sim::{OnlineConfig, OnlinePipeline};
+use paco_sim::OnlinePipeline;
 use paco_types::fingerprint::code_fingerprint;
 
 use crate::metrics::{ServeMetrics, SessionMode};
@@ -174,14 +174,12 @@ impl Default for ServeOptions {
 /// worker that reaches the corresponding seam, then disarmed. The
 /// keystone requirement is that **no injected fault may corrupt a
 /// surviving session** — predictions stay byte-identical to offline
-/// replay whether a migration snapshot tore (the session keeps its
-/// original pipeline), a connection died mid-migration (the session
-/// parks for resume), or a shard stalled (its clients just wait).
+/// replay whether a connection died mid-migration (the session parks
+/// for resume) or a shard stalled (its clients just wait).
 #[derive(Debug)]
 pub struct FaultInjector {
     stall_shard: AtomicU64,
     stall_ms: AtomicU64,
-    tear_snapshot: AtomicBool,
     drop_migration: AtomicBool,
 }
 
@@ -190,7 +188,6 @@ impl FaultInjector {
         FaultInjector {
             stall_shard: AtomicU64::new(u64::MAX),
             stall_ms: AtomicU64::new(0),
-            tear_snapshot: AtomicBool::new(false),
             drop_migration: AtomicBool::new(false),
         }
     }
@@ -203,18 +200,10 @@ impl FaultInjector {
         self.stall_shard.store(shard as u64, Ordering::Release);
     }
 
-    /// Arms a one-shot torn snapshot write: the next migration's state
-    /// blob is truncated to half before the target worker restores it.
-    /// The restore must fail closed — the session keeps its original
-    /// pipeline and the failure lands as a `migrate-fail` flight event.
-    pub fn tear_next_migration_snapshot(&self) {
-        self.tear_snapshot.store(true, Ordering::Release);
-    }
-
     /// Arms a one-shot mid-migration disconnect: the next migrating
-    /// connection is severed between snapshot save and restore. The
-    /// target worker adopts a dead socket, observes EOF, and parks the
-    /// session for a normal resume.
+    /// connection is severed after the source worker lets go of it and
+    /// before the target adopts it. The target adopts a dead socket,
+    /// observes EOF, and parks the session for a normal resume.
     pub fn drop_next_migration_conn(&self) {
         self.drop_migration.store(true, Ordering::Release);
     }
@@ -229,10 +218,6 @@ impl FaultInjector {
             .map(|_| Duration::from_millis(self.stall_ms.load(Ordering::Relaxed)))
     }
 
-    fn take_tear(&self) -> bool {
-        self.tear_snapshot.swap(false, Ordering::AcqRel)
-    }
-
     fn take_drop(&self) -> bool {
         self.drop_migration.swap(false, Ordering::AcqRel)
     }
@@ -242,19 +227,9 @@ impl FaultInjector {
 enum ShardMsg {
     /// A freshly accepted, pre-handshake connection.
     Conn(TcpStream, u64),
-    /// An established connection moving to its session's home worker.
+    /// An established connection moving to another worker: to its
+    /// session's home after the handshake, or as a migration.
     Adopt(Box<Conn>),
-    /// A mid-flight migration: the connection, its session, and the
-    /// pipeline snapshot the target must restore.
-    Migrate(Box<Migration>),
-}
-
-/// The payload of [`ShardMsg::Migrate`].
-struct Migration {
-    conn: Conn,
-    blob: Vec<u8>,
-    from: u32,
-    operator: bool,
 }
 
 /// One worker's inbox: a mutexed queue plus a non-blocking socket pair
@@ -360,8 +335,8 @@ impl Shared {
     }
 
     /// Drains every inbox after the workers have exited: sessions
-    /// inside in-flight adoptions or migrations must land in the table,
-    /// not vanish.
+    /// inside in-flight adoptions (migrations included) must land in the
+    /// table, not vanish.
     fn drain_leftovers(&self) {
         for inbox in &self.inboxes {
             let msgs = std::mem::take(&mut *inbox.queue.lock().expect("shard inbox poisoned"));
@@ -371,7 +346,6 @@ impl Shared {
                         let _ = stream.shutdown(Shutdown::Both);
                     }
                     ShardMsg::Adopt(conn) => self.close_leftover(*conn),
-                    ShardMsg::Migrate(pkg) => self.close_leftover(pkg.conn),
                 }
             }
         }
@@ -382,9 +356,6 @@ impl Shared {
 /// bookkeeping the old thread-per-connection handler kept on its stack.
 struct SessionCtx {
     session: Session,
-    /// The negotiated pipeline config — what a migration target feeds
-    /// `OnlinePipeline::new` before restoring the snapshot blob.
-    config: OnlineConfig,
     batches: u64,
     drift_noted: bool,
 }
@@ -629,10 +600,6 @@ impl Worker {
             ShardMsg::Adopt(conn) => {
                 conns.insert(conn.id, *conn);
             }
-            ShardMsg::Migrate(pkg) => {
-                let conn = self.finish_migration(*pkg);
-                conns.insert(conn.id, conn);
-            }
         }
     }
 
@@ -794,7 +761,6 @@ impl Worker {
         let home = (session.id % self.shared.workers as u64) as usize;
         conn.session = Some(SessionCtx {
             session,
-            config: hello.config,
             batches: 0,
             drift_noted,
         });
@@ -958,76 +924,35 @@ impl Worker {
         true
     }
 
-    /// Source half of a migration: snapshot the pipeline (the tear
-    /// fault corrupts the blob here; the drop fault severs the stream
-    /// here) and ship the package to the target's inbox.
+    /// Moves a session's connection to `target`: records the
+    /// migration, queues an operator's MIGRATE ack behind any unflushed
+    /// output (the target flushes it once the session is live there),
+    /// applies the drop fault, and hands the connection over.
     fn start_migration(&self, mut conn: Conn, target: usize, operator: bool) {
-        let mut blob = Vec::new();
-        {
-            let ctx = conn
-                .session
-                .as_mut()
-                .expect("migrating conn without session");
-            ctx.session.pipeline.save_state(&mut blob);
-        }
-        if self.shared.faults.take_tear() {
-            let keep = blob.len() / 2;
-            blob.truncate(keep);
-        }
-        if self.shared.faults.take_drop() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        self.shared.send(
-            target,
-            ShardMsg::Migrate(Box::new(Migration {
-                conn,
-                blob,
-                from: self.index as u32,
-                operator,
-            })),
-        );
-    }
-
-    /// Target half of a migration: restore the snapshot into a fresh
-    /// pipeline. A torn blob fails closed — the session keeps the
-    /// pipeline it arrived with (still byte-identical) and the failure
-    /// is recorded as `migrate-fail`.
-    fn finish_migration(&self, pkg: Migration) -> Conn {
-        let Migration {
-            mut conn,
-            blob,
-            from,
-            operator,
-        } = pkg;
         let metrics = &self.shared.metrics;
-        let to = self.index as u32;
-        let ctx = conn.session.as_mut().expect("migration without session");
-        let mut restored = OnlinePipeline::new(&ctx.config);
-        let mut input = blob.as_slice();
-        if restored.load_state(&mut input) && input.is_empty() {
-            ctx.session.pipeline = restored;
-            metrics.recorder().record(
-                FlightKind::SessionMigrate,
-                ctx.session.id,
-                shard_pair(from, to),
-            );
-            metrics.migrations(operator).inc();
-        } else {
-            metrics.recorder().record(
-                FlightKind::MigrateFail,
-                ctx.session.id,
-                shard_pair(from, to),
-            );
-        }
+        let session_id = conn
+            .session
+            .as_ref()
+            .expect("migrating conn without session")
+            .session
+            .id;
+        let (from, to) = (self.index as u32, target as u32);
+        metrics
+            .recorder()
+            .record(FlightKind::SessionMigrate, session_id, shard_pair(from, to));
+        metrics.migrations(operator).inc();
         if operator {
             let ack = MigrateAck {
-                session_id: ctx.session.id,
+                session_id,
                 from_shard: from,
                 to_shard: to,
             };
             encode_frame_into(&mut conn.out, FrameKind::Migrate, &encode_migrate_ack(&ack));
         }
-        conn
+        if self.shared.faults.take_drop() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        self.shared.send(target, ShardMsg::Adopt(Box::new(conn)));
     }
 
     /// Counts a refusal, answers with an ERROR frame, and finishes the

@@ -2,9 +2,10 @@
 //! a multi-thousand-session connect/park/resume/migrate storm with
 //! per-session digest parity and full ledger reconciliation (flight
 //! recorder lifetime counts vs metric counters vs the driver's own
-//! tallies), plus the in-process fault-injection seams — shard stall,
-//! torn migration snapshot, mid-migration disconnect — each of which
-//! must leave every surviving session byte-identical to offline replay.
+//! tallies), plus the in-process fault-injection seams — shard stall
+//! and mid-migration disconnect — and a torn client-held snapshot blob,
+//! each of which must leave every surviving session byte-identical to
+//! offline replay.
 //!
 //! The checked-in frame corpus (`tests/corpus_frames/`) rides along:
 //! every seed is replayed against both decode paths and the live
@@ -109,7 +110,6 @@ fn churn_storm_holds_parity_and_reconciles_every_ledger() {
         metrics.migrations(true).value() + metrics.migrations(false).value(),
         "migrate events vs migration counters"
     );
-    assert_eq!(recorder.recorded_of(FlightKind::MigrateFail), 0);
 
     // And both reconcile with what the driver itself saw: one park and
     // one resume per session (+1 fresh for the parked-gauge probe, which
@@ -137,7 +137,7 @@ fn churn_storm_holds_parity_and_reconciles_every_ledger() {
 /// and must still finish byte-identical to offline replay. The config
 /// is hot-tuned so refreshes and detections actually fire inside the
 /// per-session event budget — a storm of inert detectors would prove
-/// nothing about snapshotting the detector mid-flight.
+/// nothing about moving the detector mid-flight.
 #[test]
 fn adaptive_mrt_survives_churn_storm_byte_identical() {
     const SESSIONS: usize = 600;
@@ -198,34 +198,47 @@ fn shard_stall_delays_but_preserves_parity() {
     server.stop();
 }
 
-/// A torn migration snapshot fails closed: the restore is refused, the
-/// session keeps the pipeline it arrived with, the failure is recorded
-/// as `migrate-fail`, and the prediction stream never wavers.
+/// A torn snapshot blob is the one restore input that crosses a trust
+/// boundary now that migration moves live state: a client resuming
+/// from half of a real blob gets a typed `BAD_STATE` refusal, and the
+/// shard (the only one, so everything shares its worker) keeps serving
+/// the blob's own session and a newcomer byte-identically.
 #[test]
-fn torn_migration_snapshot_fails_closed_with_parity() {
-    let server = RunningServer::bind("127.0.0.1:0", 2).expect("bind");
+fn torn_resume_blob_is_refused_and_shard_keeps_serving() {
+    let server = RunningServer::bind("127.0.0.1:0", 1).expect("bind");
     let config = OnlineConfig::tiny(EstimatorKind::StaticMrt);
     let events = pool(12_000);
-    let mut client = Client::connect(server.addr(), &config).expect("connect");
-    let home = (client.session_id() % 2) as u32;
-    client.send_events(&events[..512]).expect("first half");
+    let mut a = Client::connect(server.addr(), &config).expect("connect A");
+    for chunk in events[..512].chunks(256) {
+        a.send_events(chunk).expect("A before snapshot");
+    }
+    let mut blob = a.snapshot().expect("snapshot").state;
+    a.send_events(&events[512..768]).expect("A after snapshot");
 
-    server.faults().tear_next_migration_snapshot();
-    let ack = client.migrate(Some((home + 1) % 2)).expect("migrate ack");
-    assert_eq!(ack.to_shard, (home + 1) % 2);
+    blob.truncate(blob.len() / 2);
+    match Client::resume_with_state(server.addr(), &config, blob) {
+        Err(ClientError::Server(ErrorCode::BadState, _)) => {}
+        other => panic!("a torn blob must be refused with BAD_STATE, got {other:?}"),
+    }
 
-    let recorder = server.metrics().recorder();
-    assert_eq!(recorder.recorded_of(FlightKind::MigrateFail), 1);
-    assert_eq!(recorder.recorded_of(FlightKind::SessionMigrate), 0);
-    assert_eq!(server.metrics().migrations(true).value(), 0);
-
-    client.send_events(&events[512..1024]).expect("second half");
+    a.send_events(&events[768..1024])
+        .expect("A after the refusal");
     assert_eq!(
-        client.digest(),
-        offline_digest(&config, &events[..1024], 512),
-        "a torn snapshot must leave the surviving session byte-identical"
+        a.digest(),
+        offline_digest(&config, &events[..1024], 256),
+        "a refused restore must leave the shard's live session byte-identical"
     );
-    client.bye().expect("bye");
+    let mut b = Client::connect(server.addr(), &config).expect("connect B");
+    for chunk in events[1024..].chunks(256) {
+        b.send_events(chunk).expect("B streams");
+    }
+    assert_eq!(
+        b.digest(),
+        offline_digest(&config, &events[1024..], 256),
+        "a refused restore must leave the shard serving newcomers byte-identically"
+    );
+    a.bye().expect("bye A");
+    b.bye().expect("bye B");
     server.stop();
 }
 
@@ -247,8 +260,9 @@ fn dropped_migration_conn_parks_session_with_parity() {
     assert!(died.is_err(), "the severed connection must not ack");
     drop(client);
 
-    // The migration itself completed (the blob was intact) before the
-    // target shard noticed the dead socket and parked the session.
+    // The migration itself completed (the live session reached the
+    // target shard) before the target noticed the dead socket and
+    // parked the session.
     let mut client = resume_retrying(server.addr(), &config, session_id);
     client.seed_digest(carried);
     assert_eq!(client.resumed_events(), 512);
@@ -258,7 +272,7 @@ fn dropped_migration_conn_parks_session_with_parity() {
             .recorder()
             .recorded_of(FlightKind::SessionMigrate),
         1,
-        "the restore must land before the EOF parks the session"
+        "the move must land before the EOF parks the session"
     );
     client.send_events(&events[512..1024]).expect("second half");
     assert_eq!(

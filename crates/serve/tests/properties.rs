@@ -481,10 +481,9 @@ fn decoder_rejects_oversized_claim_from_header_alone() {
 }
 
 // ---------------------------------------------------------------------
-// Live migration parity: parking a session on one worker shard and
-// restoring its snapshot on another must leave the prediction stream
-// byte-identical to offline replay — at any cut point, for every
-// estimator kind.
+// Live migration parity: moving a live session from one worker shard
+// to another must leave the prediction stream byte-identical to
+// offline replay — at any cut point, for every estimator kind.
 // ---------------------------------------------------------------------
 
 /// Every estimator kind the service can host.
@@ -540,11 +539,10 @@ fn resume_retrying(addr: std::net::SocketAddr, config: &OnlineConfig, session_id
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Operator MIGRATE mid-stream: the session's pipeline snapshot
-    /// parks on its home shard and restores on an explicit target, with
-    /// the cut landing anywhere — including mid-batch and mid-watch-
-    /// window — and the prediction bytes never waver, whichever
-    /// estimator is inside.
+    /// Operator MIGRATE mid-stream: the live session leaves its home
+    /// shard for an explicit target, with the cut landing anywhere —
+    /// including mid-batch and mid-watch-window — and the prediction
+    /// bytes never waver, whichever estimator is inside.
     #[test]
     fn migration_at_arbitrary_cut_is_byte_identical(
         events in proptest::collection::vec(event_strategy(), 2..160),
