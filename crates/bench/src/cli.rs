@@ -1,5 +1,4 @@
-//! The `paco-bench` command-line interface, shared by the unified binary
-//! and the per-figure wrapper binaries.
+//! The `paco-bench` command-line interface.
 //!
 //! ```text
 //! paco-bench list
@@ -87,43 +86,6 @@ pub fn main_multi(args: &[String]) -> i32 {
         }
         _ => {
             eprintln!("{USAGE}");
-            2
-        }
-    }
-}
-
-/// Entry point for the per-figure wrapper binaries (`fig2` … `ablations`):
-/// the named experiment with optional `--jobs/--no-cache/--json` flags.
-/// Returns the process exit code.
-pub fn main_single(id: ExperimentId, args: &[String]) -> i32 {
-    let usage = format!(
-        "usage: {} [--jobs N] [--no-cache] [--json]\n\
-         (equivalent to `paco-bench run {}`)",
-        id.name(),
-        id.name()
-    );
-    match parse_run(args) {
-        Ok((_, opts)) if opts.help => {
-            println!("{usage}");
-            0
-        }
-        // The wrappers take flags only; a stray positional (even a valid
-        // experiment name) is a usage error here, not a request to run
-        // some other figure.
-        Ok((ids, _)) if !ids.is_empty() => {
-            eprintln!(
-                "paco-bench({}): unexpected argument; this wrapper runs only {}\n{usage}",
-                id.name(),
-                id.name()
-            );
-            2
-        }
-        Ok((_, opts)) => {
-            run_experiment(id, &opts);
-            0
-        }
-        Err(e) => {
-            eprintln!("paco-bench({}): {e}\n{usage}", id.name());
             2
         }
     }
@@ -247,13 +209,6 @@ mod tests {
     fn help_flag_is_recognized() {
         let (_, opts) = parse_run(&strs(&["--help"])).unwrap();
         assert!(opts.help);
-        assert_eq!(main_single(ExperimentId::Fig9, &strs(&["-h"])), 0);
         assert_eq!(main_multi(&strs(&["run", "--help"])), 0);
-    }
-
-    #[test]
-    fn wrapper_rejects_positional_arguments() {
-        assert_eq!(main_single(ExperimentId::Fig9, &strs(&["all"])), 2);
-        assert_eq!(main_single(ExperimentId::Fig9, &strs(&["fig2"])), 2);
     }
 }

@@ -31,10 +31,9 @@
 //! | `tab_a1` | Appendix Table 1 — MRT variants ablation |
 //! | `ablations` | refresh-period / log-mode / throttling ablations |
 //!
-//! The per-figure binaries (`fig2` … `ablations`) are thin wrappers over
-//! the same CLI and accept the same flags. Run lengths default to values
-//! that complete in minutes; set `PACO_INSTRS` (instructions per run) and
-//! `PACO_SEED` to override.
+//! Run one artifact with `paco-bench run <name>` (e.g. `paco-bench run
+//! fig2`). Run lengths default to values that complete in minutes; set
+//! `PACO_INSTRS` (instructions per run) and `PACO_SEED` to override.
 
 #![warn(missing_docs)]
 

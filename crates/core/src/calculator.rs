@@ -1,6 +1,6 @@
 //! The path confidence calculator: a running sum of encoded probabilities.
 
-use crate::EncodedProb;
+use crate::{decode_score, EncodedProb};
 use paco_types::Probability;
 
 /// The hardware path-confidence register (paper Fig. 5, right half).
@@ -70,9 +70,10 @@ impl PathConfidenceCalculator {
     }
 
     /// Decodes the register to a real goodpath probability
-    /// (`2^(−sum/1024)`); reporting-only, never on the hot path.
+    /// (`2^(−sum/1024)`, see [`decode_score`]); reporting-only, never on
+    /// the hot path.
     pub fn goodpath_probability(&self) -> Probability {
-        Probability::clamped((-(self.sum as f64) / EncodedProb::SCALE as f64).exp2())
+        decode_score(self.sum)
     }
 
     /// Appends the register state (for session snapshots).

@@ -82,12 +82,10 @@ impl EncodedProb {
         }
     }
 
-    /// Decodes to a real probability: `2^(−raw/1024)`.
-    ///
-    /// Only used at reporting boundaries; the hardware never performs this
-    /// conversion.
+    /// Decodes to a real probability: `2^(−raw/1024)` (see
+    /// [`decode_score`]).
     pub fn to_probability(self) -> Probability {
-        Probability::clamped((-(self.0 as f64) / Self::SCALE as f64).exp2())
+        decode_score(self.0 as u64)
     }
 
     /// Adds two encoded probabilities (probabilities multiply), saturating.
@@ -102,6 +100,22 @@ impl EncodedProb {
     pub const fn is_saturated(self) -> bool {
         self.0 >= Self::SATURATION
     }
+}
+
+/// Decodes an encoded score — a single [`EncodedProb`] or a running sum
+/// of them, as held by the path-confidence register — to a real
+/// probability: `clamp(2^(−score/1024))`.
+///
+/// The one place the crate leaves the log domain. Only reporting
+/// boundaries call it; the hardware never performs this conversion, and
+/// the serving layer ships the score and decodes on demand.
+///
+/// ```
+/// assert_eq!(paco::decode_score(0).value(), 1.0);
+/// assert_eq!(paco::decode_score(2048).value(), 0.25);
+/// ```
+pub fn decode_score(score: u64) -> Probability {
+    Probability::clamped((-(score as f64) / EncodedProb::SCALE as f64).exp2())
 }
 
 impl std::fmt::Display for EncodedProb {

@@ -55,7 +55,7 @@ mod variants;
 
 pub use adaptive::{AdaptiveMrtConfig, AdaptiveMrtPredictor};
 pub use calculator::PathConfidenceCalculator;
-pub use encoded::EncodedProb;
+pub use encoded::{decode_score, EncodedProb};
 pub use estimator::{BranchFetchInfo, BranchToken, ConfidenceScore, PathConfidenceEstimator};
 pub use log_circuit::{LogCircuit, LogMode};
 pub use mrt::{MispredictRateTable, MrtBucket};

@@ -58,6 +58,6 @@ pub use family::{
 pub use gen::{generate, GenOptions, GenReport};
 pub use manifest::{find_entry, CorpusEntry, CORPUS};
 pub use profiles::{
-    compute_reference, prob_bin, prob_bin_bits, reference_profile, CalibrationProfile, ProbBinner,
-    PROFILE_BINS, PROFILE_WARMUP, PROFILE_WINDOW, REFERENCE_INSTRS, REFERENCE_PROFILE_HASHES,
+    compute_reference, prob_bin, reference_profile, CalibrationProfile, PROFILE_BINS,
+    PROFILE_WARMUP, PROFILE_WINDOW, REFERENCE_INSTRS, REFERENCE_PROFILE_HASHES,
 };

@@ -45,90 +45,18 @@ pub const REFERENCE_INSTRS: u64 = 160_000;
 
 /// The probability bin an estimate falls into: `round(p * 20)` after
 /// clamping to `[0, 1]`. Pure integer-exact IEEE arithmetic, so every
-/// build bins identically. Inline: the serving hot loop calls this per
-/// event, and without the hint it stays an out-of-line cross-crate
-/// call.
+/// build bins identically. Inline: the serving layer's per-event watch
+/// lane calls this per event, and without the hint it stays an
+/// out-of-line cross-crate call.
 #[inline]
 pub fn prob_bin(p: f64) -> usize {
     let x = p.clamp(0.0, 1.0) * (PROFILE_BINS - 1) as f64;
     // round() spelled as trunc + half-test: baseline x86-64 lowers
-    // `f64::round` to a libm call, which dominated the serving hot
-    // loop. For non-negative x both `x as usize` (truncation) and
-    // `x - trunc(x)` are exact, so this is bit-for-bit `x.round()`.
+    // `f64::round` to a libm call. For non-negative x both `x as usize`
+    // (truncation) and `x - trunc(x)` are exact, so this is bit-for-bit
+    // `x.round()`.
     let t = x as usize;
     (t + (x - t as f64 >= 0.5) as usize).min(PROFILE_BINS - 1)
-}
-
-/// [`prob_bin`] over raw IEEE-754 bits, no float arithmetic: for
-/// non-negative doubles the bit pattern is monotone in the value, so
-/// binning folds into comparisons against 20 precomputed bin-boundary
-/// bit patterns. Negative values (sign bit set) and NaN (above the
-/// +inf pattern) clamp-bin to 0, exactly as [`prob_bin`] does.
-///
-/// Bit-identical to `prob_bin(f64::from_bits(bits))` for **every**
-/// `bits` — the boundary table is derived from `prob_bin` itself, and
-/// the equivalence is pinned by test across boundaries, specials and a
-/// pseudorandom bit sweep.
-#[inline]
-pub fn prob_bin_bits(bits: u64) -> usize {
-    ProbBinner::new().bin_bits(bits)
-}
-
-/// Resolved handle to the bin-boundary table behind [`prob_bin_bits`]:
-/// hot loops construct one before iterating so the per-event path is
-/// pure integer compares with no `OnceLock` traffic.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbBinner {
-    bounds: &'static [u64; PROFILE_BINS - 1],
-}
-
-impl ProbBinner {
-    const SIGN: u64 = 1 << 63;
-    const INF: u64 = 0x7FF0_0000_0000_0000;
-
-    /// Resolves the boundary table (computed once per process).
-    #[inline]
-    pub fn new() -> Self {
-        static BOUNDS: OnceLock<[u64; PROFILE_BINS - 1]> = OnceLock::new();
-        ProbBinner {
-            bounds: BOUNDS.get_or_init(|| {
-                // Boundary k = the smallest non-negative bit pattern
-                // binning to k + 1, found by binary search in bit space
-                // against the float oracle (bit order = value order for
-                // non-negative doubles, and prob_bin is monotone in the
-                // value, +inf clamping to the top bin).
-                let mut bounds = [0u64; PROFILE_BINS - 1];
-                for (k, slot) in bounds.iter_mut().enumerate() {
-                    let (mut lo, mut hi) = (0u64, Self::INF);
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        if prob_bin(f64::from_bits(mid)) > k {
-                            hi = mid;
-                        } else {
-                            lo = mid + 1;
-                        }
-                    }
-                    *slot = lo;
-                }
-                bounds
-            }),
-        }
-    }
-
-    /// The bin for a probability given as raw IEEE-754 bits.
-    #[inline]
-    pub fn bin_bits(&self, bits: u64) -> usize {
-        if bits & Self::SIGN != 0 || bits > Self::INF {
-            return 0; // negative or NaN: prob_bin clamp-bins these to 0
-        }
-        self.bounds.partition_point(|&b| b <= bits)
-    }
-}
-
-impl Default for ProbBinner {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// A calibration summary of a confidence stream: per-probability-bin
@@ -313,59 +241,6 @@ mod tests {
         assert_eq!(prob_bin(-3.0), 0);
         assert_eq!(prob_bin(7.0), 20);
         assert_eq!(prob_bin(f64::NAN), 0); // clamp(NaN) -> 0.0 bound
-    }
-
-    #[test]
-    fn prob_bin_bits_matches_the_float_oracle_everywhere() {
-        let check = |bits: u64| {
-            assert_eq!(
-                prob_bin_bits(bits),
-                prob_bin(f64::from_bits(bits)),
-                "bits={bits:#018x}"
-            );
-        };
-        // Every bin-center neighborhood, a few ulps each way (wrapping
-        // below +0.0 lands on huge negative-NaN patterns, also covered).
-        for k in 0..PROFILE_BINS {
-            let center = k as f64 / (PROFILE_BINS - 1) as f64;
-            for delta in -3i64..=3 {
-                check((center.to_bits() as i64).wrapping_add(delta) as u64);
-            }
-        }
-        // The exact boundary patterns and their immediate neighbors.
-        let binner = ProbBinner::new();
-        for k in 1..PROFILE_BINS {
-            let boundary = f64::from_bits(binner.bounds[k - 1]);
-            for delta in -2i64..=2 {
-                check((boundary.to_bits() as i64).wrapping_add(delta) as u64);
-            }
-        }
-        // Specials: zeros, out-of-range, infinities, NaNs, subnormals.
-        for v in [
-            0.0f64,
-            -0.0,
-            1.0,
-            -1.0,
-            0.5,
-            7.0,
-            -3.0,
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-            5e-324,
-        ] {
-            check(v.to_bits());
-        }
-        // A deterministic pseudorandom sweep of the whole bit space.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..20_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            check(x);
-        }
     }
 
     #[test]

@@ -27,8 +27,9 @@ use paco_types::{DynInstr, EventBatch};
 
 /// Protocol version; bumped on any incompatible frame or payload change.
 /// Version 2 added the STATS_REQ/STATS pair and the optional declared
-/// workload family in HELLO.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// workload family in HELLO; version 3 dropped the probability bytes
+/// from each PREDICTIONS outcome (the score already determines it).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound accepted for a frame payload.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 22;
@@ -992,14 +993,17 @@ const OUTCOME_PREDICTED: u8 = OutcomeBatch::FLAG_PREDICTED_TAKEN;
 const OUTCOME_MISPREDICTED: u8 = OutcomeBatch::FLAG_MISPREDICTED;
 const OUTCOME_HAS_PROB: u8 = OutcomeBatch::FLAG_HAS_PROB;
 
-/// The longest encoding of one outcome: flags, a maximal score varint
-/// and the probability bits.
-const MAX_OUTCOME_BYTES: usize = 1 + MAX_UVARINT_LEN + 8;
+/// The longest encoding of one outcome: flags and a maximal score
+/// varint.
+const MAX_OUTCOME_BYTES: usize = 1 + MAX_UVARINT_LEN;
 
 /// Encodes a batch of prediction outcomes. This encoding is the parity
 /// surface: the integration suite requires the bytes streamed by
 /// `paco-served` to equal the bytes produced by an offline
-/// [`OnlinePipeline`](paco_sim::OnlinePipeline) run bit for bit.
+/// [`OnlinePipeline`](paco_sim::OnlinePipeline) run bit for bit. The
+/// probability is not sent: with the has-probability flag set the
+/// score is an encoded probability, decoded by
+/// [`OnlineOutcome::probability`].
 pub fn encode_outcomes(outcomes: &[OnlineOutcome]) -> Vec<u8> {
     let mut out = Vec::new();
     write_uvarint(&mut out, outcomes.len() as u64);
@@ -1011,14 +1015,11 @@ pub fn encode_outcomes(outcomes: &[OnlineOutcome]) -> Vec<u8> {
         if o.mispredicted {
             flags |= OUTCOME_MISPREDICTED;
         }
-        if o.prob_bits.is_some() {
+        if o.has_prob {
             flags |= OUTCOME_HAS_PROB;
         }
         out.push(flags);
         write_uvarint(&mut out, o.score);
-        if let Some(bits) = o.prob_bits {
-            out.extend_from_slice(&bits.to_le_bytes());
-        }
     }
     out
 }
@@ -1030,26 +1031,19 @@ pub fn encode_outcomes(outcomes: &[OnlineOutcome]) -> Vec<u8> {
 /// to `out` without clearing it, so a reused buffer must be cleared by
 /// the caller.
 ///
-/// `out` is grown once to the worst case (19 bytes per outcome),
+/// `out` is grown once to the worst case (11 bytes per outcome),
 /// written by index and truncated to the bytes written, so the loop
 /// carries no per-byte capacity checks.
 pub fn encode_outcomes_into(out: &mut Vec<u8>, outcomes: &OutcomeBatch) {
     write_uvarint(out, outcomes.len() as u64);
-    let flags = outcomes.flags();
-    let scores = outcomes.scores();
-    let probs = outcomes.prob_bits();
     let start = out.len();
     out.resize(start + outcomes.len() * MAX_OUTCOME_BYTES, 0);
     let buf = &mut out[start..];
     let mut at = 0;
-    for ((&flag, &score), &prob) in flags.iter().zip(scores).zip(probs) {
+    for (&flag, &score) in outcomes.flags().iter().zip(outcomes.scores()) {
         buf[at] = flag;
         at += 1;
         at += put_uvarint(&mut buf[at..], score);
-        if flag & OUTCOME_HAS_PROB != 0 {
-            buf[at..at + 8].copy_from_slice(&prob.to_le_bytes());
-            at += 8;
-        }
     }
     out.truncate(start + at);
 }
@@ -1071,14 +1065,9 @@ pub fn decode_outcomes(mut input: &[u8]) -> Result<Vec<OnlineOutcome>, ProtoErro
             return Err(malformed("predictions: unknown flag bits"));
         }
         let score = read_uvarint(input).ok_or_else(|| malformed("predictions: score"))?;
-        let prob_bits = if flags & OUTCOME_HAS_PROB != 0 {
-            Some(take_u64_le(input).ok_or_else(|| malformed("predictions: probability"))?)
-        } else {
-            None
-        };
         outcomes.push(OnlineOutcome {
             score,
-            prob_bits,
+            has_prob: flags & OUTCOME_HAS_PROB != 0,
             predicted_taken: flags & OUTCOME_PREDICTED != 0,
             mispredicted: flags & OUTCOME_MISPREDICTED != 0,
         });
@@ -1372,6 +1361,7 @@ mod tests {
     use paco::PacoConfig;
     use paco_sim::EstimatorKind;
     use paco_types::Pc;
+    use paco_workloads::{BenchmarkId, Workload};
 
     fn sample_config() -> OnlineConfig {
         OnlineConfig::tiny(EstimatorKind::Paco(PacoConfig::paper()))
@@ -1560,27 +1550,27 @@ mod tests {
         let outcomes = vec![
             OnlineOutcome {
                 score: 0,
-                prob_bits: None,
+                has_prob: false,
                 predicted_taken: true,
                 mispredicted: false,
             },
             OnlineOutcome {
                 score: 99999,
-                prob_bits: Some(0.125f64.to_bits()),
+                has_prob: true,
                 predicted_taken: false,
                 mispredicted: true,
             },
             OnlineOutcome {
-                score: 7,
-                prob_bits: Some(0),
+                score: 0,
+                has_prob: true,
                 predicted_taken: true,
                 mispredicted: true,
             },
-            // A 10-byte score varint plus the probability: the full
-            // MAX_OUTCOME_BYTES worst case.
+            // A 10-byte score varint: the full MAX_OUTCOME_BYTES worst
+            // case.
             OnlineOutcome {
                 score: u64::MAX,
-                prob_bits: Some(u64::MAX),
+                has_prob: true,
                 predicted_taken: true,
                 mispredicted: true,
             },
@@ -1611,19 +1601,51 @@ mod tests {
         let outcomes = vec![
             OnlineOutcome {
                 score: 0,
-                prob_bits: None,
+                has_prob: false,
                 predicted_taken: true,
                 mispredicted: false,
             },
             OnlineOutcome {
-                score: 4096,
-                prob_bits: Some(0.25f64.to_bits()),
+                score: 2048,
+                has_prob: true,
                 predicted_taken: false,
                 mispredicted: true,
             },
         ];
         let payload = encode_outcomes(&outcomes);
-        assert_eq!(decode_outcomes(&payload).unwrap(), outcomes);
+        let back = decode_outcomes(&payload).unwrap();
+        assert_eq!(back, outcomes);
+        assert_eq!(back[1].probability(), Some(0.25));
+    }
+
+    /// A PREDICTIONS payload is the count, then one flags byte and one
+    /// score varint per outcome: no probability bytes.
+    #[test]
+    fn predictions_payload_is_flags_plus_score_per_outcome() {
+        let varint_len = |v: u64| (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+        let config = OnlineConfig::tiny(EstimatorKind::Paco(
+            PacoConfig::paper().with_refresh_period(500),
+        ));
+        let mut pipeline = paco_sim::OnlinePipeline::new(&config);
+        let mut workload = BenchmarkId::Gzip.build(5);
+        let instrs: Vec<DynInstr> = (0..20_000).map(|_| workload.next_instr()).collect();
+        let mut batch = OutcomeBatch::new();
+        pipeline.run_batch(&EventBatch::from(instrs.as_slice()), &mut batch);
+        assert!(
+            batch.scores().iter().any(|&s| s > 127),
+            "scores must span multi-byte varints"
+        );
+        assert!(batch.flags().iter().all(|&f| f & OUTCOME_HAS_PROB != 0));
+
+        let mut payload = Vec::new();
+        encode_outcomes_into(&mut payload, &batch);
+        let expected = varint_len(batch.len() as u64)
+            + batch
+                .scores()
+                .iter()
+                .map(|&s| 1 + varint_len(s))
+                .sum::<usize>();
+        assert_eq!(payload.len(), expected);
     }
 
     #[test]

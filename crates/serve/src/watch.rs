@@ -30,11 +30,12 @@
 //! test encodes [`SessionStats`] from a per-event and a batched replay
 //! of the same events and requires identical bytes.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use paco::decode_score;
 use paco_analysis::{merge_bin_pairs, occupancy_distance, CusumDetector};
-use paco_corpus::{prob_bin, CalibrationProfile, ProbBinner, PROFILE_BINS, PROFILE_WINDOW};
+use paco_corpus::{prob_bin, CalibrationProfile, PROFILE_BINS, PROFILE_WINDOW};
 use paco_sim::{OnlineOutcome, OutcomeBatch};
 
 use crate::metrics::{FleetCounters, SessionMode};
@@ -60,6 +61,43 @@ pub const DRIFT_THRESHOLD: f64 = 0.12;
 /// shift must exceed [`DRIFT_THRESHOLD`] by this much in total before a
 /// session is flagged.
 pub const DRIFT_LIMIT: f64 = 0.25;
+
+/// Length of the [`ScoreBinner`] table. Score 5449 decodes to just above
+/// 2.5% (bin 1); from 5450 up the decoded probability is below 2.5%,
+/// and since it only falls as the score rises, the bin is 0 and stays 0.
+const SCORE_TABLE_LEN: usize = 5450;
+
+/// [`prob_bin`] of a decoded score, read from a table, so the batched
+/// lane bins without leaving the integer domain. Equal to
+/// `prob_bin(decode_score(score))` for **every** score: the table is
+/// built from exactly that expression, and an exhaustive test pins the
+/// equality. Resolved once per batch, so the per-event path carries no
+/// `OnceLock` traffic.
+#[derive(Debug, Clone, Copy)]
+struct ScoreBinner {
+    table: &'static [u8; SCORE_TABLE_LEN],
+}
+
+impl ScoreBinner {
+    #[inline]
+    fn new() -> Self {
+        static TABLE: OnceLock<[u8; SCORE_TABLE_LEN]> = OnceLock::new();
+        ScoreBinner {
+            table: TABLE.get_or_init(|| {
+                std::array::from_fn(|s| prob_bin(decode_score(s as u64).value()) as u8)
+            }),
+        }
+    }
+
+    #[inline]
+    fn bin(&self, score: u64) -> usize {
+        if score < SCORE_TABLE_LEN as u64 {
+            self.table[score as usize] as usize
+        } else {
+            0
+        }
+    }
+}
 
 /// Per-session watch telemetry: lifetime calibration, a rolling window,
 /// and the drift detector. Fixed-size — attaching one to every session
@@ -139,30 +177,28 @@ impl WatchState {
     /// lane (the lane-determinism test holds the two to identical
     /// bytes).
     pub fn observe_batch(&mut self, outcomes: &OutcomeBatch) {
-        // Binning stays in integer bit-pattern form end to end: the
-        // wire already carries raw probability bits, and
-        // `ProbBinner::bin_bits` is bit-identical to `prob_bin` on the
-        // decoded value (pinned by paco-corpus' oracle sweep), so the
-        // float round-trip the per-event lane does is skipped entirely.
-        let binner = ProbBinner::new();
-        let (mut flags, mut probs) = (outcomes.flags(), outcomes.prob_bits());
+        // Binning stays in the integer score domain: the score table is
+        // bit-identical to `prob_bin` on the decoded score, so the
+        // decode the per-event lane does is skipped entirely.
+        let binner = ScoreBinner::new();
+        let (mut flags, mut scores) = (outcomes.flags(), outcomes.scores());
         while !flags.is_empty() {
             let take = ((WATCH_WINDOW - self.window.events()) as usize).min(flags.len());
             let (chunk_flags, rest_flags) = flags.split_at(take);
-            let (chunk_probs, rest_probs) = probs.split_at(take);
+            let (chunk_scores, rest_scores) = scores.split_at(take);
             let mut mispredicts = 0u64;
-            for (&f, &p) in chunk_flags.iter().zip(chunk_probs) {
+            for (&f, &s) in chunk_flags.iter().zip(chunk_scores) {
                 mispredicts += u64::from(f & OutcomeBatch::FLAG_MISPREDICTED != 0);
                 if f & OutcomeBatch::FLAG_HAS_PROB != 0 {
                     let correct = u64::from(f & OutcomeBatch::FLAG_MISPREDICTED == 0);
-                    self.window.add_bin(binner.bin_bits(p), 1, correct);
+                    self.window.add_bin(binner.bin(s), 1, correct);
                 }
             }
             self.window.add_counts(take as u64, mispredicts);
             if self.window.events() >= WATCH_WINDOW {
                 self.roll_window();
             }
-            (flags, probs) = (rest_flags, rest_probs);
+            (flags, scores) = (rest_flags, rest_scores);
         }
     }
 
@@ -404,11 +440,15 @@ impl Default for FleetAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paco::EncodedProb;
+    use paco_types::Probability;
 
+    /// An outcome whose score encodes `prob`.
     fn outcome(prob: f64, mispredicted: bool) -> OnlineOutcome {
+        let score = EncodedProb::from_probability(Probability::new(prob).unwrap()).raw();
         OnlineOutcome {
-            score: 1,
-            prob_bits: Some(prob.to_bits()),
+            score: score.into(),
+            has_prob: true,
             predicted_taken: true,
             mispredicted,
         }
@@ -428,7 +468,7 @@ mod tests {
         let mut profile = CalibrationProfile::new();
         for i in 0..(4 * WATCH_WINDOW) {
             let (p, m) = mix[i as usize % mix.len()];
-            profile.record(Some(p), m);
+            profile.record(outcome(p, m).probability(), m);
         }
         profile
     }
@@ -484,15 +524,13 @@ mod tests {
 
     #[test]
     fn batched_and_per_event_observation_agree() {
+        // Scores sweep every bin, and past the table into bin 0.
         let outcomes: Vec<OnlineOutcome> = (0..(3 * WATCH_WINDOW + 17))
-            .map(|i| {
-                let p = (i % 100) as f64 / 100.0;
-                OnlineOutcome {
-                    score: i,
-                    prob_bits: (i % 7 != 0).then(|| p.to_bits()),
-                    predicted_taken: i % 2 == 0,
-                    mispredicted: i % 5 == 0,
-                }
+            .map(|i| OnlineOutcome {
+                score: i * 97 % 7000,
+                has_prob: i % 7 != 0,
+                predicted_taken: i % 2 == 0,
+                mispredicted: i % 5 == 0,
             })
             .collect();
         let reference = reference_like(STEADY);
@@ -548,6 +586,18 @@ mod tests {
         );
         assert_eq!(snap.sessions_active, 0);
         assert_eq!(snap.sessions_parked, 4);
+    }
+
+    #[test]
+    fn score_bin_matches_the_float_oracle_everywhere() {
+        let binner = ScoreBinner::new();
+        let oracle = |score: u64| prob_bin(decode_score(score).value());
+        for score in (0..1 << 20).chain([1 << 40, u64::MAX]) {
+            assert_eq!(binner.bin(score), oracle(score), "score={score}");
+        }
+        // The table is no longer than it must be: its last entry is the
+        // last score outside bin 0.
+        assert_eq!(oracle(SCORE_TABLE_LEN as u64 - 1), 1);
     }
 
     #[test]

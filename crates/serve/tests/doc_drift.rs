@@ -4,8 +4,8 @@
 //!
 //! The document is normative prose for humans; this suite parses its
 //! code-literal tables (frame kinds, error codes, the payload cap, the
-//! protocol version) and compares them against the implementation, so
-//! neither can change without the other.
+//! protocol version, the PREDICTIONS outcome layout) and compares them
+//! against the implementation, so neither can change without the other.
 
 use std::path::Path;
 
@@ -162,5 +162,45 @@ fn protocol_version_matches_proto() {
             .next()
             .is_some_and(|l| l.contains(&format!("(version {PROTOCOL_VERSION})"))),
         "docs/PROTOCOL.md title must name the current protocol version"
+    );
+}
+
+#[test]
+fn predictions_outcome_layout_matches_proto() {
+    let doc = protocol_md();
+    // The `outcome :=` block lists one field per line at the column of
+    // its first field; continuation lines are indented further.
+    let mut lines = doc.lines().skip_while(|l| !l.starts_with("outcome :="));
+    let first = lines
+        .next()
+        .expect("docs/PROTOCOL.md must spell the PREDICTIONS layout as `outcome := ...`");
+    let column = first["outcome :=".len()..]
+        .find(|c: char| !c.is_whitespace())
+        .map(|i| i + "outcome :=".len())
+        .expect("the outcome block names a first field");
+    let fields: Vec<&str> = std::iter::once(&first[column..])
+        .chain(lines.take_while(|l| !l.starts_with("```")).filter_map(|l| {
+            let rest = l.get(column..)?;
+            (l[..column].trim().is_empty() && !rest.starts_with(' ')).then_some(rest)
+        }))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(|name| name.trim_matches(['[', ']']))
+        .collect();
+    assert_eq!(
+        fields,
+        ["flags", "score"],
+        "docs/PROTOCOL.md documents outcome fields {fields:?}; proto.rs encodes flags + score"
+    );
+
+    // The decode formula quotes the fixed-point scale.
+    let quoted: u32 = doc
+        .split_once("2^(−score/")
+        .and_then(|(_, rest)| rest.split(')').next()?.parse().ok())
+        .expect("docs/PROTOCOL.md must quote the decode as `2^(−score/N)`");
+    assert_eq!(
+        quoted,
+        paco::EncodedProb::SCALE,
+        "docs/PROTOCOL.md decodes with scale {quoted}, EncodedProb::SCALE is {}",
+        paco::EncodedProb::SCALE
     );
 }

@@ -140,21 +140,14 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
 }
 
 fn outcome_strategy() -> impl Strategy<Value = OnlineOutcome> {
-    (
-        0u64..1 << 40,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        0.0f64..=1.0,
+    (0u64..1 << 40, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+        |(score, has_prob, predicted_taken, mispredicted)| OnlineOutcome {
+            score,
+            has_prob,
+            predicted_taken,
+            mispredicted,
+        },
     )
-        .prop_map(
-            |(score, has_prob, predicted_taken, mispredicted, prob)| OnlineOutcome {
-                score,
-                prob_bits: has_prob.then(|| prob.to_bits()),
-                predicted_taken,
-                mispredicted,
-            },
-        )
 }
 
 proptest! {

@@ -4,11 +4,12 @@
 //! batch carries what goes *into* [`OnlinePipeline::run_batch`]
 //! (crate::OnlinePipeline::run_batch), an [`OutcomeBatch`] carries what
 //! comes out, in the exact field layout the serve wire encoding wants —
-//! a flags byte (predicted/mispredicted/has-probability), the score,
-//! and the raw IEEE-754 probability bits. The flag bit assignments here
-//! are the *normative* ones for the `paco-serve` PREDICTIONS payload;
-//! `paco_serve::proto` re-uses these constants so the two layers cannot
-//! drift apart.
+//! a flags byte (predicted/mispredicted/has-probability) and the score.
+//! No probability column: where the has-probability flag is set, the
+//! probability is the decoded score ([`OnlineOutcome::probability`]).
+//! The flag bit assignments here are the *normative* ones for the
+//! `paco-serve` PREDICTIONS payload; `paco_serve::proto` re-uses these
+//! constants so the two layers cannot drift apart.
 
 use crate::OnlineOutcome;
 
@@ -22,20 +23,19 @@ use crate::OnlineOutcome;
 ///
 /// let mut out = OutcomeBatch::new();
 /// out.push(&OnlineOutcome {
-///     score: 42,
-///     prob_bits: Some(0.5f64.to_bits()),
+///     score: 1024,
+///     has_prob: true,
 ///     predicted_taken: true,
 ///     mispredicted: false,
 /// });
 /// assert_eq!(out.len(), 1);
-/// assert_eq!(out.get(0).score, 42);
+/// assert_eq!(out.get(0).probability(), Some(0.5));
 /// assert_eq!(out.flags()[0], OutcomeBatch::FLAG_PREDICTED_TAKEN | OutcomeBatch::FLAG_HAS_PROB);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeBatch {
     flags: Vec<u8>,
     scores: Vec<u64>,
-    probs: Vec<u64>,
 }
 
 impl OutcomeBatch {
@@ -43,7 +43,7 @@ impl OutcomeBatch {
     pub const FLAG_PREDICTED_TAKEN: u8 = 0x01;
     /// Flag bit: the prediction missed the architectural outcome.
     pub const FLAG_MISPREDICTED: u8 = 0x02;
-    /// Flag bit: a goodpath-probability value is present.
+    /// Flag bit: the score is an encoded goodpath probability.
     pub const FLAG_HAS_PROB: u8 = 0x04;
     /// Every bit an outcome's flags byte may carry.
     pub const FLAG_ALL: u8 =
@@ -59,7 +59,6 @@ impl OutcomeBatch {
         OutcomeBatch {
             flags: Vec::with_capacity(n),
             scores: Vec::with_capacity(n),
-            probs: Vec::with_capacity(n),
         }
     }
 
@@ -79,14 +78,12 @@ impl OutcomeBatch {
     pub fn clear(&mut self) {
         self.flags.clear();
         self.scores.clear();
-        self.probs.clear();
     }
 
     /// Reserves room for `n` additional outcomes.
     pub fn reserve(&mut self, n: usize) {
         self.flags.reserve(n);
         self.scores.reserve(n);
-        self.probs.reserve(n);
     }
 
     /// Appends one outcome.
@@ -99,12 +96,9 @@ impl OutcomeBatch {
                 && OutcomeBatch::FLAG_MISPREDICTED == 1 << 1
                 && OutcomeBatch::FLAG_HAS_PROB == 1 << 2
         );
-        let flags = o.predicted_taken as u8
-            | (o.mispredicted as u8) << 1
-            | (o.prob_bits.is_some() as u8) << 2;
+        let flags = o.predicted_taken as u8 | (o.mispredicted as u8) << 1 | (o.has_prob as u8) << 2;
         self.flags.push(flags);
         self.scores.push(o.score);
-        self.probs.push(o.prob_bits.unwrap_or(0));
     }
 
     /// Reconstructs outcome `i`.
@@ -113,7 +107,7 @@ impl OutcomeBatch {
         let flags = self.flags[i];
         OnlineOutcome {
             score: self.scores[i],
-            prob_bits: (flags & Self::FLAG_HAS_PROB != 0).then(|| self.probs[i]),
+            has_prob: flags & Self::FLAG_HAS_PROB != 0,
             predicted_taken: flags & Self::FLAG_PREDICTED_TAKEN != 0,
             mispredicted: flags & Self::FLAG_MISPREDICTED != 0,
         }
@@ -136,13 +130,6 @@ impl OutcomeBatch {
     pub fn scores(&self) -> &[u64] {
         &self.scores
     }
-
-    /// The per-outcome raw probability bits (0 where
-    /// [`FLAG_HAS_PROB`](Self::FLAG_HAS_PROB) is clear).
-    #[inline]
-    pub fn prob_bits(&self) -> &[u64] {
-        &self.probs
-    }
 }
 
 #[cfg(test)]
@@ -153,19 +140,21 @@ mod tests {
         vec![
             OnlineOutcome {
                 score: 0,
-                prob_bits: None,
+                has_prob: false,
                 predicted_taken: false,
                 mispredicted: false,
             },
             OnlineOutcome {
-                score: 4096,
-                prob_bits: Some(0.25f64.to_bits()),
+                score: 2048,
+                has_prob: true,
                 predicted_taken: true,
                 mispredicted: true,
             },
+            // A score far past any decodable probability still
+            // round-trips as the score.
             OnlineOutcome {
-                score: 17,
-                prob_bits: Some(0u64),
+                score: u64::MAX,
+                has_prob: true,
                 predicted_taken: true,
                 mispredicted: false,
             },
@@ -185,18 +174,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_prob_bits_with_flag_survive() {
-        // `Some(0)` and `None` must stay distinguishable: the flag, not
-        // the value, carries presence.
-        let o = OnlineOutcome {
-            score: 1,
-            prob_bits: Some(0),
-            predicted_taken: false,
-            mispredicted: false,
-        };
+    fn has_prob_flag_round_trips() {
+        // Score 0 with and without the flag must stay distinguishable:
+        // the flag, not the value, carries presence.
         let mut batch = OutcomeBatch::new();
-        batch.push(&o);
-        assert_eq!(batch.get(0), o);
+        for has_prob in [false, true] {
+            let o = OnlineOutcome {
+                score: 0,
+                has_prob,
+                predicted_taken: false,
+                mispredicted: false,
+            };
+            batch.push(&o);
+            assert_eq!(batch.get(batch.len() - 1), o);
+        }
+        assert_eq!(batch.get(0).probability(), None);
+        assert_eq!(batch.get(1).probability(), Some(1.0));
+        assert_eq!(batch.flags(), &[0, OutcomeBatch::FLAG_HAS_PROB]);
     }
 
     #[test]

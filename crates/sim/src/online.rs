@@ -204,10 +204,11 @@ pub struct OnlineOutcome {
     /// Confidence score after fetching this branch (lower = more
     /// confident); comparable across a session.
     pub score: u64,
-    /// IEEE-754 bits of the estimated goodpath probability, for
-    /// estimators that produce one. Bits, not a float, because this field
-    /// is part of the byte-exact parity surface.
-    pub prob_bits: Option<u64>,
+    /// Whether the score is an encoded goodpath probability (PaCo and
+    /// the MRT variants): the estimator's probability is then exactly
+    /// [`paco::decode_score`] of the score, so the outcome carries no
+    /// second copy of it.
+    pub has_prob: bool,
     /// The direction the pipeline's predictor chose.
     pub predicted_taken: bool,
     /// Whether that prediction missed the architectural outcome.
@@ -215,9 +216,11 @@ pub struct OnlineOutcome {
 }
 
 impl OnlineOutcome {
-    /// The estimated goodpath probability as a float, if present.
+    /// The estimated goodpath probability, decoded from the score, for
+    /// estimators that produce one.
     pub fn probability(&self) -> Option<f64> {
-        self.prob_bits.map(f64::from_bits)
+        self.has_prob
+            .then(|| paco::decode_score(self.score).value())
     }
 }
 
@@ -454,12 +457,16 @@ impl PipelineCore {
         };
 
         let token = est.on_fetch(info);
+        let prob = est.goodpath_probability();
         let outcome = OnlineOutcome {
             score: est.score().0,
-            prob_bits: est.goodpath_probability().map(|p| p.value().to_bits()),
+            has_prob: prob.is_some(),
             predicted_taken: predicted,
             mispredicted,
         };
+        // Outcomes carry only the score: an estimator's probability must
+        // be the decoded score.
+        debug_assert_eq!(prob.map(|p| p.value()), outcome.probability());
 
         self.pending.push_back(PendingBranch {
             token,
@@ -515,6 +522,7 @@ impl PipelineCore {
     fn step<E: PathConfidenceEstimator>(
         &mut self,
         est: &mut E,
+        has_prob: bool,
         pc: Pc,
         conditional: bool,
         taken: bool,
@@ -553,7 +561,7 @@ impl PipelineCore {
         let token = est.on_fetch(info);
         let outcome = OnlineOutcome {
             score: est.score().0,
-            prob_bits: est.goodpath_probability().map(|p| p.value().to_bits()),
+            has_prob,
             predicted_taken: predicted,
             mispredicted,
         };
@@ -597,10 +605,12 @@ impl PipelineCore {
 
     /// The batched lane's fused inner loop, monomorphized per concrete
     /// estimator: no enum or vtable dispatch per event, no allocation,
-    /// and every per-event value lives and dies in registers.
+    /// and every per-event value lives and dies in registers. `has_prob`
+    /// comes from the estimator kind, so no probability is computed.
     fn process_batch<E: PathConfidenceEstimator>(
         &mut self,
         est: &mut E,
+        has_prob: bool,
         events: &EventBatch,
         out: &mut OutcomeBatch,
     ) {
@@ -610,7 +620,7 @@ impl PipelineCore {
             let Some(conditional) = control else {
                 continue;
             };
-            let outcome = self.step(est, pc, conditional, taken);
+            let outcome = self.step(est, has_prob, pc, conditional, taken);
             out.push(&outcome);
         }
     }
@@ -630,7 +640,8 @@ impl PipelineCore {
 /// let outcome = pipe
 ///     .on_instr(&DynInstr::branch(Pc::new(0x1000), true, Pc::new(0x2000)))
 ///     .expect("control instructions produce outcomes");
-/// assert!(outcome.prob_bits.is_some()); // PaCo estimates a probability
+/// assert!(outcome.has_prob); // PaCo estimates a probability
+/// assert_eq!(outcome.probability(), Some(paco::decode_score(outcome.score).value()));
 /// ```
 ///
 /// The batched lane produces the same outcomes from a
@@ -736,13 +747,16 @@ impl OnlinePipeline {
     /// on one pipeline (they share the tables and the in-flight
     /// window).
     pub fn run_batch(&mut self, events: &EventBatch, out: &mut OutcomeBatch) {
+        // PaCo and the MRT variants score with an encoded probability;
+        // the null and threshold-and-count estimators do not.
+        let core = &mut self.core;
         match &mut self.lane {
-            EstimatorLane::None(est) => self.core.process_batch(est, events, out),
-            EstimatorLane::Paco(est) => self.core.process_batch(est, events, out),
-            EstimatorLane::ThresholdCount(est) => self.core.process_batch(est, events, out),
-            EstimatorLane::StaticMrt(est) => self.core.process_batch(est, events, out),
-            EstimatorLane::PerBranchMrt(est) => self.core.process_batch(est, events, out),
-            EstimatorLane::AdaptiveMrt(est) => self.core.process_batch(est, events, out),
+            EstimatorLane::None(est) => core.process_batch(est, false, events, out),
+            EstimatorLane::Paco(est) => core.process_batch(est, true, events, out),
+            EstimatorLane::ThresholdCount(est) => core.process_batch(est, false, events, out),
+            EstimatorLane::StaticMrt(est) => core.process_batch(est, true, events, out),
+            EstimatorLane::PerBranchMrt(est) => core.process_batch(est, true, events, out),
+            EstimatorLane::AdaptiveMrt(est) => core.process_batch(est, true, events, out),
         }
     }
 

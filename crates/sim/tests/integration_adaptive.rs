@@ -69,8 +69,8 @@ fn control_events(seed: u64, count: usize) -> Vec<DynInstr> {
 }
 
 /// The serve-plane wire image of an outcome batch: count, then per
-/// outcome the flag byte, uvarint score, and (when flagged) the
-/// little-endian probability bits. Rebuilt here independently so lane
+/// outcome the flag byte and the uvarint score (PREDICTIONS v3 sends
+/// no probability bytes). Rebuilt here independently so lane
 /// divergence that happens to cancel in `PartialEq` (it cannot, but
 /// the wire image is the contract) is still caught at the byte level.
 fn wire_bytes(batch: &OutcomeBatch) -> Vec<u8> {
@@ -88,12 +88,8 @@ fn wire_bytes(batch: &OutcomeBatch) -> Vec<u8> {
     let mut out = Vec::new();
     uvarint(&mut out, batch.len() as u64);
     for i in 0..batch.len() {
-        let flags = batch.flags()[i];
-        out.push(flags);
+        out.push(batch.flags()[i]);
         uvarint(&mut out, batch.scores()[i]);
-        if flags & OutcomeBatch::FLAG_HAS_PROB != 0 {
-            out.extend_from_slice(&batch.prob_bits()[i].to_le_bytes());
-        }
     }
     out
 }
