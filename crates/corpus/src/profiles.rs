@@ -23,6 +23,7 @@ use std::sync::OnceLock;
 
 use paco_sim::{OnlineConfig, OnlinePipeline};
 use paco_types::canon::Canon;
+use paco_types::wire::{read_uvarint, write_uvarint};
 use paco_workloads::Workload;
 
 use crate::manifest::{CorpusEntry, CORPUS};
@@ -156,6 +157,30 @@ impl CalibrationProfile {
     /// occupancy).
     pub fn with_prob(&self) -> u64 {
         self.bins.iter().map(|&(n, _)| n).sum()
+    }
+
+    /// Appends every counter as a varint: events, mispredicts, then each
+    /// bin's `(instances, correct)`. The serving layer parks a session's
+    /// watch telemetry with it.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        write_uvarint(out, self.events);
+        write_uvarint(out, self.mispredicts);
+        for &(instances, correct) in &self.bins {
+            write_uvarint(out, instances);
+            write_uvarint(out, correct);
+        }
+    }
+
+    /// Reads a profile written by [`save_state`](Self::save_state),
+    /// advancing `input`; `None` on truncation.
+    pub fn load_state(input: &mut &[u8]) -> Option<Self> {
+        let mut profile = Self::new();
+        profile.events = read_uvarint(input)?;
+        profile.mispredicts = read_uvarint(input)?;
+        for bin in &mut profile.bins {
+            *bin = (read_uvarint(input)?, read_uvarint(input)?);
+        }
+        Some(profile)
     }
 
     /// Fraction of recorded events that mispredicted (0 when empty).

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use paco_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry};
 
 use crate::proto::FrameKind;
+use crate::session::SessionTable;
 
 /// How a session came to exist (the `mode` label of
 /// `paco_sessions_established_total`).
@@ -98,6 +99,8 @@ pub struct ServeMetrics {
     pub session_parks: Arc<Counter>,
     /// Sessions currently parked in the table.
     pub sessions_parked: Arc<Gauge>,
+    /// Bytes of packed state the parked sessions hold.
+    pub sessions_parked_bytes: Arc<Gauge>,
     /// Completed session migrations by trigger (`operator`, `policy`).
     migrations: [Arc<Counter>; 2],
     /// Live connections per worker shard (the load signal the
@@ -209,6 +212,11 @@ impl ServeMetrics {
                 "Sessions currently parked in the session table.",
                 vec![],
             ),
+            sessions_parked_bytes: registry.gauge(
+                "paco_sessions_parked_bytes",
+                "Bytes of packed state held by the parked sessions.",
+                vec![],
+            ),
             migrations: ["operator", "policy"].map(|trigger| {
                 registry.counter(
                     "paco_session_migrations_total",
@@ -262,6 +270,13 @@ impl ServeMetrics {
     pub fn migrations(&self, operator: bool) -> &Counter {
         &self.migrations[if operator { 0 } else { 1 }]
     }
+
+    /// Sets the parked-session gauges (count and state bytes) from the
+    /// table's counts.
+    pub(crate) fn track_parked(&self, table: &SessionTable) {
+        self.sessions_parked.set(table.parked() as f64);
+        self.sessions_parked_bytes.set(table.parked_bytes() as f64);
+    }
 }
 
 impl Default for ServeMetrics {
@@ -289,6 +304,7 @@ mod tests {
             "paco_session_parks_total",
             "paco_sessions_active",
             "paco_sessions_parked",
+            "paco_sessions_parked_bytes",
             "paco_fleet_events_total",
             "paco_fleet_mispredicts_total",
             "paco_watch_windows_total",
@@ -299,7 +315,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing family {expected}");
         }
-        assert_eq!(names.len(), 16, "families drifted: {names:?}");
+        assert_eq!(names.len(), 17, "families drifted: {names:?}");
     }
 
     #[test]

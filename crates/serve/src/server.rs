@@ -319,7 +319,7 @@ impl Shared {
             .recorder()
             .record(FlightKind::SessionPark, ctx.session.id, 0);
         self.table.park(ctx.session);
-        self.metrics.sessions_parked.set(self.table.parked() as f64);
+        self.metrics.track_parked(&self.table);
     }
 
     /// Closes a connection outside any worker (shutdown leftovers),
@@ -742,12 +742,9 @@ impl Worker {
             .metrics
             .recorder()
             .record(flight_kind, session.id, 0);
-        // A resume just removed a parked session; keep the gauge
+        // A resume just removed a parked session; keep the gauges
         // current.
-        self.shared
-            .metrics
-            .sessions_parked
-            .set(self.shared.table.parked() as f64);
+        self.shared.metrics.track_parked(&self.shared.table);
         // A reclaimed session may come back already drift-flagged; only
         // a latch that happens on THIS connection records a flight
         // event.

@@ -9,15 +9,25 @@
 //! which a reconnecting client can reclaim it by id and resume
 //! bit-identically.
 //!
+//! A parked session is not kept live. The table stores its
+//! configuration plus one packed state blob: the pipeline snapshot (the
+//! bytes SNAPSHOT returns, every counter at its hardware width)
+//! followed by the watch state. So a parked session costs its state
+//! bytes, not its live tables. Claiming rebuilds the pipeline from the
+//! configuration and restores it through the same `load_state` a
+//! resume-by-blob uses.
+//!
 //! The table is sharded by session id so N clients connecting,
 //! detaching and resuming concurrently contend only on their own shard's
-//! mutex, never on one global lock.
+//! mutex, never on one global lock. The lock covers only the map insert
+//! or remove: parking serializes before taking it, and claiming
+//! rebuilds after releasing it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use paco_sim::OnlinePipeline;
+use paco_sim::{OnlineConfig, OnlinePipeline};
 
 use crate::watch::WatchState;
 
@@ -34,11 +44,13 @@ pub struct Session {
     pub watch: WatchState,
 }
 
-/// A parked session plus its age stamp (for bounded-occupancy
-/// eviction).
+/// A parked session: what rebuilds it, its packed state, and its age
+/// stamp (for bounded-occupancy eviction).
 #[derive(Debug)]
 struct Parked {
-    session: Session,
+    config: OnlineConfig,
+    /// The pipeline snapshot followed by the watch state.
+    state: Box<[u8]>,
     stamp: u64,
 }
 
@@ -56,6 +68,12 @@ pub struct SessionTable {
     shards: Vec<Mutex<HashMap<u64, Parked>>>,
     next_id: AtomicU64,
     clock: AtomicU64,
+    /// Parked sessions and the sum of their state lengths. Both change
+    /// only under the lock of the shard whose map changes, so they
+    /// track the maps exactly; they publish no other data, so readers
+    /// load them `Relaxed` without taking any lock.
+    parked: AtomicUsize,
+    parked_bytes: AtomicUsize,
 }
 
 impl SessionTable {
@@ -72,6 +90,8 @@ impl SessionTable {
                 .collect(),
             next_id: AtomicU64::new(1),
             clock: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            parked_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -86,37 +106,81 @@ impl SessionTable {
     }
 
     /// Parks a detached session for later reclaim, evicting the shard's
-    /// oldest-parked session if the shard is full.
+    /// oldest-parked session if the shard is full. The session is
+    /// serialized and dropped before the shard lock is taken.
     pub fn park(&self, session: Session) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self
-            .shard(session.id)
-            .lock()
-            .expect("session shard poisoned");
+        let mut state = Vec::new();
+        session.pipeline.save_state(&mut state);
+        session.watch.save_state(&mut state);
+        let id = session.id;
+        let parked = Parked {
+            config: *session.pipeline.config(),
+            state: state.into_boxed_slice(),
+            stamp: self.clock.fetch_add(1, Ordering::Relaxed),
+        };
+        drop(session);
+        let mut shard = self.shard(id).lock().expect("session shard poisoned");
         if shard.len() >= Self::MAX_PARKED_PER_SHARD {
             if let Some(&oldest) = shard.iter().min_by_key(|(_, p)| p.stamp).map(|(id, _)| id) {
-                shard.remove(&oldest);
+                let evicted = shard.remove(&oldest).expect("oldest is parked");
+                self.forget(&evicted);
             }
         }
-        shard.insert(session.id, Parked { session, stamp });
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        self.parked_bytes
+            .fetch_add(parked.state.len(), Ordering::Relaxed);
+        let replaced = shard.insert(id, parked);
+        debug_assert!(replaced.is_none(), "session {id} parked twice");
     }
 
     /// Claims a parked session for exclusive use; `None` if the id is
     /// unknown, evicted, or currently claimed by another connection.
+    /// The session is rebuilt after the shard lock is released.
     pub fn claim(&self, id: u64) -> Option<Session> {
-        self.shard(id)
-            .lock()
-            .expect("session shard poisoned")
-            .remove(&id)
-            .map(|p| p.session)
+        let parked = {
+            let mut shard = self.shard(id).lock().expect("session shard poisoned");
+            let parked = shard.remove(&id)?;
+            self.forget(&parked);
+            parked
+        };
+        let mut pipeline = OnlinePipeline::new(&parked.config);
+        let mut input = &parked.state[..];
+        let watch = if pipeline.load_state(&mut input) {
+            WatchState::load_state(&mut input).filter(|_| input.is_empty())
+        } else {
+            None
+        };
+        // The table wrote this blob itself, so a failure is a bug. Fail
+        // closed in release: the client sees UNKNOWN_SESSION, and the
+        // shard keeps serving.
+        debug_assert!(
+            watch.is_some(),
+            "session {id}: parked state failed to restore"
+        );
+        Some(Session {
+            id,
+            pipeline,
+            watch: watch?,
+        })
+    }
+
+    /// Updates the counts for a session that left a shard's map; called
+    /// under that shard's lock.
+    fn forget(&self, parked: &Parked) {
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        self.parked_bytes
+            .fetch_sub(parked.state.len(), Ordering::Relaxed);
     }
 
     /// Number of parked sessions.
     pub fn parked(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("session shard poisoned").len())
-            .sum()
+        self.parked.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of packed state the parked sessions hold: the sum of their
+    /// blob lengths, without the fixed per-entry map overhead.
+    pub fn parked_bytes(&self) -> usize {
+        self.parked_bytes.load(Ordering::Relaxed)
     }
 
     /// Number of shards (for reporting).
@@ -174,6 +238,77 @@ mod tests {
         // The first-parked session was evicted; the newest survives.
         assert!(t.claim(ids[0]).is_none(), "oldest must be evicted");
         assert!(t.claim(*ids.last().unwrap()).is_some());
+    }
+
+    #[test]
+    fn park_claim_round_trips_every_estimator_kind_at_paper_config() {
+        use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
+        use paco_types::EventBatch;
+
+        let entry = paco_corpus::find_entry("biased_bimodal").expect("corpus family");
+        let events = crate::corpus_control_events(&entry.family, entry.seed, 60_000)
+            .expect("synthesize events");
+        let reference = *paco_corpus::reference_profile(entry.name).expect("reference");
+        let t = SessionTable::new(2);
+        for kind in [
+            EstimatorKind::None,
+            EstimatorKind::ThresholdCount(ThresholdCountConfig::paper_default()),
+            EstimatorKind::Paco(PacoConfig::paper()),
+            EstimatorKind::StaticMrt,
+            EstimatorKind::PerBranchMrt(PerBranchMrtConfig::paper()),
+            EstimatorKind::AdaptiveMrt(AdaptiveMrtConfig::paper()),
+        ] {
+            let config = OnlineConfig::paper(kind);
+            let mut s = Session {
+                id: t.allocate_id(),
+                pipeline: OnlinePipeline::new(&config),
+                watch: WatchState::new(Some(entry.name.into()), Some(reference)),
+            };
+            let mut batch = EventBatch::new();
+            batch.extend_from_instrs(&events);
+            let mut out = paco_sim::OutcomeBatch::new();
+            s.pipeline.run_batch(&batch, &mut out);
+            s.watch.observe_batch(&out);
+            let mut before = Vec::new();
+            s.pipeline.save_state(&mut before);
+            let stats = s.watch.session_stats(s.id);
+            assert!(stats.windows > 2, "the watch must score windows");
+            let id = s.id;
+
+            t.park(s);
+            assert!(t.parked_bytes() > before.len(), "{kind:?}");
+            let claimed = t.claim(id).expect("claim parked session");
+            let mut after = Vec::new();
+            claimed.pipeline.save_state(&mut after);
+            assert!(
+                after == before,
+                "{kind:?}: pipeline state changed across park"
+            );
+            assert_eq!(claimed.watch.session_stats(id), stats, "{kind:?}");
+            assert_eq!((t.parked(), t.parked_bytes()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn counts_follow_parks_claims_and_evictions() {
+        let t = SessionTable::new(1);
+        let mut ids = Vec::new();
+        for _ in 0..SessionTable::MAX_PARKED_PER_SHARD + 3 {
+            let s = session(&t);
+            ids.push(s.id);
+            t.park(s);
+        }
+        let bytes = t.parked_bytes();
+        assert_eq!(t.parked(), SessionTable::MAX_PARKED_PER_SHARD);
+        assert_eq!(
+            bytes % SessionTable::MAX_PARKED_PER_SHARD,
+            0,
+            "equal sessions"
+        );
+        let per_session = bytes / SessionTable::MAX_PARKED_PER_SHARD;
+        t.claim(*ids.last().unwrap()).expect("newest survives");
+        assert_eq!(t.parked(), SessionTable::MAX_PARKED_PER_SHARD - 1);
+        assert_eq!(t.parked_bytes(), bytes - per_session);
     }
 
     #[test]

@@ -37,6 +37,7 @@ use paco::decode_score;
 use paco_analysis::{merge_bin_pairs, occupancy_distance, CusumDetector};
 use paco_corpus::{prob_bin, CalibrationProfile, PROFILE_BINS, PROFILE_WINDOW};
 use paco_sim::{OnlineOutcome, OutcomeBatch};
+use paco_types::wire::{read_uvarint, write_uvarint};
 
 use crate::metrics::{FleetCounters, SessionMode};
 use crate::proto::{FleetStats, SessionStats};
@@ -285,6 +286,98 @@ impl WatchState {
         }
     }
 
+    /// Appends the complete state: both profiles, the detector's
+    /// dynamics (`f64`s as their bits), the reference profile, the
+    /// family, the window counts and the fold marks. The session table
+    /// parks a session as this plus its pipeline snapshot; unlike a
+    /// pipeline snapshot, this blob never leaves the process.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        self.cum.save_state(out);
+        self.window.save_state(out);
+        for v in [
+            self.detector.cusum().to_bits(),
+            self.detector.last_divergence().to_bits(),
+            self.detector.windows(),
+            self.detector.warmup_remaining(),
+            self.detector.flagged_at().map_or(0, |w| w + 1),
+        ] {
+            write_uvarint(out, v);
+        }
+        match &self.reference {
+            None => out.push(0),
+            Some(reference) => {
+                out.push(1);
+                reference.save_state(out);
+            }
+        }
+        match &self.family {
+            None => write_uvarint(out, 0),
+            Some(family) => {
+                write_uvarint(out, family.len() as u64 + 1);
+                out.extend_from_slice(family.as_bytes());
+            }
+        }
+        for v in [
+            self.windows,
+            self.drift_window,
+            self.folded_events,
+            self.folded_mispredicts,
+            self.folded_windows,
+        ] {
+            write_uvarint(out, v);
+        }
+        for &(instances, correct) in &self.folded_bins {
+            write_uvarint(out, instances);
+            write_uvarint(out, correct);
+        }
+        out.push(self.folded_flag as u8);
+    }
+
+    /// Rebuilds a watch state written by [`save_state`](Self::save_state),
+    /// advancing `input`; `None` on truncation or a malformed field.
+    pub fn load_state(input: &mut &[u8]) -> Option<WatchState> {
+        let cum = CalibrationProfile::load_state(input)?;
+        let window = CalibrationProfile::load_state(input)?;
+        let mut detector = CusumDetector::new(DRIFT_THRESHOLD, DRIFT_LIMIT);
+        let cusum = f64::from_bits(read_uvarint(input)?);
+        let last = f64::from_bits(read_uvarint(input)?);
+        let (det_windows, warmup_left) = (read_uvarint(input)?, read_uvarint(input)?);
+        let flagged_at = read_uvarint(input)?.checked_sub(1);
+        detector.restore(cusum, last, det_windows, warmup_left, flagged_at);
+        let reference = match take_byte(input)? {
+            0 => None,
+            1 => Some(CalibrationProfile::load_state(input)?),
+            _ => return None,
+        };
+        let family = match read_uvarint(input)?.checked_sub(1) {
+            None => None,
+            Some(len) => {
+                let len = usize::try_from(len).ok().filter(|&n| n <= input.len())?;
+                let (name, rest) = input.split_at(len);
+                *input = rest;
+                Some(String::from_utf8(name.to_vec()).ok()?)
+            }
+        };
+        let mut watch = WatchState::new(family, reference);
+        watch.cum = cum;
+        watch.window = window;
+        watch.detector = detector;
+        watch.windows = read_uvarint(input)?;
+        watch.drift_window = read_uvarint(input)?;
+        watch.folded_events = read_uvarint(input)?;
+        watch.folded_mispredicts = read_uvarint(input)?;
+        watch.folded_windows = read_uvarint(input)?;
+        for bin in &mut watch.folded_bins {
+            *bin = (read_uvarint(input)?, read_uvarint(input)?);
+        }
+        watch.folded_flag = match take_byte(input)? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        Some(watch)
+    }
+
     /// Folds this session's counter growth since the last fold into the
     /// fleet aggregator (one lock acquisition; called at batch-count
     /// checkpoints, on STATS_REQ and at connection end — never per
@@ -318,6 +411,13 @@ impl WatchState {
         self.folded_bins.copy_from_slice(lifetime.bins());
         self.folded_flag = self.detector.is_flagged();
     }
+}
+
+/// Reads one byte, advancing `input`.
+fn take_byte(input: &mut &[u8]) -> Option<u8> {
+    let (&byte, rest) = input.split_first()?;
+    *input = rest;
+    Some(byte)
 }
 
 impl Default for WatchState {
@@ -598,6 +698,46 @@ mod tests {
         // The table is no longer than it must be: its last entry is the
         // last score outside bin 0.
         assert_eq!(oracle(SCORE_TABLE_LEN as u64 - 1), 1);
+    }
+
+    #[test]
+    fn load_state_restores_every_field_and_refuses_every_cut() {
+        let mut watch = WatchState::new(Some("steady".into()), Some(reference_like(STEADY)));
+        feed(&mut watch, 8, STEADY);
+        let fleet = FleetAggregator::new();
+        watch.fold_into(&fleet);
+        feed(&mut watch, 6, STORMY);
+        watch.observe(&outcome(0.3, true)); // a partial window
+        assert!(watch.drift_flagged());
+        let mut blob = Vec::new();
+        watch.save_state(&mut blob);
+
+        let mut input = blob.as_slice();
+        let mut restored = WatchState::load_state(&mut input).expect("own blob restores");
+        assert!(input.is_empty());
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, blob);
+        assert_eq!(restored.session_stats(7), watch.session_stats(7));
+        // The fold marks came along: both fold the same delta next.
+        feed(&mut restored, 1, STORMY);
+        feed(&mut watch, 1, STORMY);
+        let (a, b) = (FleetAggregator::new(), FleetAggregator::new());
+        restored.fold_into(&a);
+        watch.fold_into(&b);
+        let (a, b) = (a.snapshot(0), b.snapshot(0));
+        assert_eq!(
+            (a.events, a.flagged_sessions, a.bins),
+            (b.events, b.flagged_sessions, b.bins)
+        );
+
+        for cut in 0..blob.len() {
+            assert!(
+                WatchState::load_state(&mut &blob[..cut]).is_none(),
+                "a blob cut at {cut} of {} must be refused",
+                blob.len()
+            );
+        }
     }
 
     #[test]

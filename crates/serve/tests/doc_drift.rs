@@ -4,8 +4,9 @@
 //!
 //! The document is normative prose for humans; this suite parses its
 //! code-literal tables (frame kinds, error codes, the payload cap, the
-//! protocol version, the PREDICTIONS outcome layout) and compares them
-//! against the implementation, so neither can change without the other.
+//! protocol version, the PREDICTIONS outcome layout, the snapshot state
+//! version) and compares them against the implementation, so neither can
+//! change without the other.
 
 use std::path::Path;
 
@@ -162,6 +163,27 @@ fn protocol_version_matches_proto() {
             .next()
             .is_some_and(|l| l.contains(&format!("(version {PROTOCOL_VERSION})"))),
         "docs/PROTOCOL.md title must name the current protocol version"
+    );
+}
+
+#[test]
+fn snapshot_state_version_matches_the_pipeline() {
+    let doc = protocol_md();
+    // The snapshot section heading pins it: "(state version `N`)".
+    let quoted: u8 = doc
+        .lines()
+        .find_map(|l| {
+            let (_, after) = l.split_once("(state version `")?;
+            after.split_once('`')?.0.parse().ok()
+        })
+        .expect("docs/PROTOCOL.md must pin the snapshot blob as `(state version `N`)`");
+    let config = paco_sim::OnlineConfig::tiny(paco_sim::EstimatorKind::None);
+    let mut blob = Vec::new();
+    paco_sim::OnlinePipeline::new(&config).save_state(&mut blob);
+    assert_eq!(
+        quoted, blob[0],
+        "docs/PROTOCOL.md pins state version {quoted}, snapshots carry {}",
+        blob[0]
     );
 }
 

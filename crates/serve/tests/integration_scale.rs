@@ -242,6 +242,44 @@ fn torn_resume_blob_is_refused_and_shard_keeps_serving() {
     server.stop();
 }
 
+/// A snapshot from before counters were packed at their hardware width
+/// (state blob version 1) is refused with a typed `BAD_STATE` by the
+/// version check, and the shard keeps serving its live session; the
+/// same blob at the current version restores.
+#[test]
+fn version_1_resume_blob_is_refused_and_shard_keeps_serving() {
+    let server = RunningServer::bind("127.0.0.1:0", 1).expect("bind");
+    let config = OnlineConfig::tiny(EstimatorKind::StaticMrt);
+    let events = pool(12_000);
+    let mut a = Client::connect(server.addr(), &config).expect("connect A");
+    for chunk in events[..512].chunks(256) {
+        a.send_events(chunk).expect("A before snapshot");
+    }
+    let blob = a.snapshot().expect("snapshot").state;
+    assert_eq!(blob[0], 2, "the current state blob version");
+
+    let mut old = blob.clone();
+    old[0] = 1;
+    match Client::resume_with_state(server.addr(), &config, old) {
+        Err(ClientError::Server(ErrorCode::BadState, _)) => {}
+        other => panic!("a version-1 blob must be refused with BAD_STATE, got {other:?}"),
+    }
+
+    for chunk in events[512..1024].chunks(256) {
+        a.send_events(chunk).expect("A after the refusal");
+    }
+    assert_eq!(
+        a.digest(),
+        offline_digest(&config, &events[..1024], 256),
+        "a refused restore must leave the shard's live session byte-identical"
+    );
+    let b = Client::resume_with_state(server.addr(), &config, blob).expect("restore");
+    assert_eq!(b.resumed_events(), 512);
+    b.bye().expect("bye B");
+    a.bye().expect("bye A");
+    server.stop();
+}
+
 /// A connection severed mid-migration loses only the connection: the
 /// session finishes its move, parks on the target shard, and resumes
 /// byte-identically.

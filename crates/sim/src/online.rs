@@ -320,7 +320,7 @@ impl Window {
     }
 }
 
-const STATE_VERSION: u8 = 1;
+const STATE_VERSION: u8 = 2;
 
 /// The estimator held as a concrete type — one variant per
 /// [`EstimatorKind`] — so the batched lane can select it once per batch
@@ -660,6 +660,7 @@ impl PipelineCore {
 /// assert_eq!(out.len(), 1);
 /// ```
 pub struct OnlinePipeline {
+    config: OnlineConfig,
     core: PipelineCore,
     lane: EstimatorLane,
 }
@@ -684,6 +685,7 @@ impl OnlinePipeline {
         let tournament = TournamentPredictor::new(config.tournament);
         let mdc = MdcTable::new(config.confidence);
         OnlinePipeline {
+            config: *config,
             core: PipelineCore {
                 config_hash: config.canon_hash(),
                 resolve_lag: config.resolve_lag,
@@ -696,6 +698,11 @@ impl OnlinePipeline {
             },
             lane: EstimatorLane::new(&config.estimator),
         }
+    }
+
+    /// The configuration this pipeline was built from.
+    pub fn config(&self) -> &OnlineConfig {
+        &self.config
     }
 
     /// Canonical hash of the configuration this pipeline was built from;
@@ -1176,15 +1183,21 @@ mod tests {
 
         // Walk the blob to the pending section: version + config hash,
         // two uvarints (events, history), four counter tables (uvarint
-        // length + that many bytes), no estimator state for
-        // EstimatorKind::None.
+        // length + that many counters packed at their lane width: 2 bits
+        // for the tournament tables, 4 for the MDC table), no estimator
+        // state for EstimatorKind::None.
         let mut cursor = &blob[1 + 8..];
         for _ in 0..2 {
             read_uvarint(&mut cursor).unwrap();
         }
-        for _ in 0..4 {
+        for lane_bits in [
+            2,
+            2,
+            2,
+            config.confidence.counter_bits.next_power_of_two() as usize,
+        ] {
             let len = read_uvarint(&mut cursor).unwrap() as usize;
-            cursor = &cursor[len..];
+            cursor = &cursor[(len * lane_bits).div_ceil(8)..];
         }
         let pending_at = blob.len() - cursor.len();
         let mut entries = &blob[pending_at..];
