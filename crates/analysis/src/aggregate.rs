@@ -39,9 +39,8 @@ pub fn mean(values: &[f64]) -> f64 {
 /// (the streaming-histogram quantile bound is pinned against it) and
 /// for one-off percentiles of modest samples. Callers that need several
 /// percentiles of the same sample must sort once themselves and use
-/// [`percentile_sorted`] for each — [`LatencySummary::from_samples`]
-/// does exactly that — and big-run telemetry should stream into a
-/// fixed-size histogram instead of accumulating samples at all.
+/// [`percentile_sorted`] for each, and big-run telemetry should stream
+/// into a fixed-size histogram instead of accumulating samples at all.
 ///
 /// # Examples
 ///
@@ -119,27 +118,6 @@ pub struct LatencySummary {
     pub p99: f64,
     /// Largest sample.
     pub max: f64,
-}
-
-impl LatencySummary {
-    /// Summarizes a sample (sorting once for all four percentiles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or contains NaN.
-    pub fn from_samples(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "latency summary of an empty sample");
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in latency sample"));
-        LatencySummary {
-            count: sorted.len(),
-            mean: mean(&sorted),
-            p50: percentile_sorted(&sorted, 50.0),
-            p90: percentile_sorted(&sorted, 90.0),
-            p99: percentile_sorted(&sorted, 99.0),
-            max: percentile_sorted(&sorted, 100.0),
-        }
-    }
 }
 
 /// The observables of one run a gating comparison needs.
@@ -264,20 +242,6 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn percentile_rejects_out_of_range() {
         percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn latency_summary_reports_tails() {
-        // 1..=100: p50 = 50.5, p90 = 90.1, p99 = 99.01 under linear
-        // interpolation over 100 samples.
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&v);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-        assert!((s.p50 - 50.5).abs() < 1e-12);
-        assert!((s.p90 - 90.1).abs() < 1e-9);
-        assert!((s.p99 - 99.01).abs() < 1e-9);
-        assert_eq!(s.max, 100.0);
     }
 
     #[test]

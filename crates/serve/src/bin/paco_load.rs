@@ -6,22 +6,18 @@
 //!               [--batch N] [--rate EVENTS_PER_SEC] [--events N]
 //!               [--estimator KIND] [--profile paper|tiny] [--lag K]
 //!               [--watch] [--family NAME] [--splice FAMILY]
-//!               [--splice-instrs N] [--splice-seed S]
-//!               [--latency-cap N] [--json] [--no-parity]
+//!               [--splice-instrs N] [--splice-seed S] [--json]
 //! paco-load version
 //! ```
 //!
 //! Replays branch events — from a recorded `.paco` trace, or synthesized
 //! in memory from a named `paco-corpus` family — across M concurrent
 //! sessions and reports events/s plus p50/p90/p99 batch round-trip
-//! latency. Small runs summarize latency by exact sort; past
-//! `--latency-cap` samples per session (default 65536) the summary
-//! switches to streaming log-linear histograms with fixed memory, so
-//! arbitrarily long runs cannot grow the sample buffer (`--latency-cap 0`
-//! forces streaming from the first batch; the report names the method
-//! used). Unless `--no-parity` is given, every session's prediction
-//! digest is checked against an offline `OnlinePipeline` replay — a
-//! non-zero exit means the service broke byte-parity.
+//! latency. Latency is summarized from log-linear histograms with fixed
+//! memory, so quantiles sit within one ≤ 12.5% bucket of an exact sort
+//! however long the run. Every session's prediction digest is checked
+//! against an offline `OnlinePipeline` replay — a non-zero exit means
+//! the service broke byte-parity.
 //!
 //! `--watch` declares each session's workload family at HELLO time
 //! (default: the `--corpus` family; override with `--family`) and polls
@@ -55,8 +51,7 @@ usage:
                 [--batch N] [--rate EVENTS_PER_SEC] [--events N]
                 [--estimator KIND] [--profile paper|tiny] [--lag K]
                 [--watch] [--family NAME] [--splice FAMILY]
-                [--splice-instrs N] [--splice-seed S]
-                [--latency-cap N] [--json] [--no-parity]
+                [--splice-instrs N] [--splice-seed S] [--json]
   paco-load churn --addr HOST:PORT --corpus FAMILY
                 [--corpus-seed S] [--corpus-instrs N] [--sessions N]
                 [--threads M] [--batch N] [--session-events N]
@@ -123,47 +118,147 @@ fn parse_estimator(name: &str) -> Result<EstimatorKind, String> {
     })
 }
 
+/// A subcommand's argument cursor.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl Args<'_> {
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|_| format!("{flag} expects an integer, got `{v}`"))
+    }
+}
+
+/// The flags `run` and `churn` share, checked and resolved.
+struct Common {
+    addr: String,
+    /// The `--corpus` family with its seed and instruction count.
+    corpus: Option<(paco_corpus::CorpusEntry, u64, u64)>,
+    threads: Option<usize>,
+    batch: Option<usize>,
+    config: OnlineConfig,
+    json: bool,
+}
+
+impl Common {
+    /// Parses `args` for subcommand `cmd`, handing every flag it does not
+    /// share to `own`, which answers `Ok(false)` for a flag it does not
+    /// know either.
+    fn parse(
+        cmd: &str,
+        args: &[String],
+        mut own: impl FnMut(&str, &mut Args) -> Result<bool, String>,
+    ) -> Result<Common, String> {
+        let mut addr = None;
+        let mut corpus = None;
+        let mut corpus_seed = None;
+        let mut corpus_instrs = None;
+        let mut threads = None;
+        let mut batch = None;
+        let mut estimator = "paco".to_string();
+        let mut profile = "paper".to_string();
+        let mut lag = None;
+        let mut json = false;
+        let mut it = Args(args.iter());
+        while let Some(arg) = it.0.next() {
+            let flag = arg.as_str();
+            match flag {
+                "--addr" => addr = Some(it.value(flag)?),
+                "--corpus" => corpus = Some(it.value(flag)?),
+                "--corpus-seed" => corpus_seed = Some(it.num::<u64>(flag)?),
+                "--corpus-instrs" => corpus_instrs = Some(it.num::<u64>(flag)?),
+                "--threads" => threads = Some(it.num(flag)?),
+                "--batch" => batch = Some(it.num(flag)?),
+                "--estimator" => estimator = it.value(flag)?,
+                "--profile" => profile = it.value(flag)?,
+                "--lag" => lag = Some(it.num::<usize>(flag)?),
+                "--json" => json = true,
+                other => {
+                    if !own(other, &mut it)? {
+                        return Err(format!("unknown flag `{other}`\n{USAGE}"));
+                    }
+                }
+            }
+        }
+        let addr = addr.ok_or_else(|| format!("{cmd} needs --addr"))?;
+        if threads == Some(0) || batch == Some(0) {
+            return Err("--threads and --batch must be at least 1".into());
+        }
+        if corpus.is_none() && (corpus_seed.is_some() || corpus_instrs.is_some()) {
+            return Err("--corpus-seed/--corpus-instrs require --corpus".into());
+        }
+        if corpus_instrs == Some(0) {
+            return Err("--corpus-instrs must be at least 1".into());
+        }
+
+        let kind = parse_estimator(&estimator)?;
+        let mut config = match profile.as_str() {
+            "paper" => OnlineConfig::paper(kind),
+            "tiny" => OnlineConfig::tiny(kind),
+            other => return Err(format!("unknown profile `{other}` (paper|tiny)")),
+        };
+        if let Some(lag) = lag {
+            config.resolve_lag = lag;
+        }
+        config.validate()?;
+
+        let corpus = match corpus {
+            Some(name) => {
+                let entry = lookup_family(&name)?;
+                let seed = corpus_seed.unwrap_or(entry.seed);
+                Some((entry, seed, corpus_instrs.unwrap_or(200_000)))
+            }
+            None => None,
+        };
+        Ok(Common {
+            addr,
+            corpus,
+            threads,
+            batch,
+            config,
+            json,
+        })
+    }
+
+    /// Prints a report, text or JSON, and maps a parity failure (what
+    /// diverged) to a failing exit code.
+    fn emit(&self, text: String, json: String, failure: Option<String>) -> ExitCode {
+        if self.json {
+            println!("{json}");
+        } else {
+            print!("{text}");
+        }
+        match failure {
+            Some(what) => {
+                eprintln!("paco-load: PARITY FAILURE: {what} diverged from the offline pipeline");
+                ExitCode::FAILURE
+            }
+            None => ExitCode::SUCCESS,
+        }
+    }
+}
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let mut addr = None;
     let mut trace = None;
-    let mut corpus = None;
-    let mut corpus_seed = None;
-    let mut corpus_instrs: Option<u64> = None;
-    let mut estimator = "paco".to_string();
-    let mut profile = "paper".to_string();
-    let mut lag = None;
-    let mut json = false;
     let mut watch = false;
     let mut family = None;
     let mut splice = None;
     let mut splice_instrs: Option<u64> = None;
     let mut splice_seed = None;
     let mut options = LoadOptions::default();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
-            "--trace" => trace = Some(value("--trace")?),
-            "--corpus" => corpus = Some(value("--corpus")?),
-            "--corpus-seed" => {
-                corpus_seed = Some(parse_num::<u64>(&value("--corpus-seed")?, "--corpus-seed")?)
-            }
-            "--corpus-instrs" => {
-                corpus_instrs = Some(parse_num(&value("--corpus-instrs")?, "--corpus-instrs")?)
-            }
-            "--threads" => options.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--batch" => options.batch = parse_num(&value("--batch")?, "--batch")?,
-            "--events" => {
-                options.events_per_thread = Some(parse_num::<u64>(&value("--events")?, "--events")?)
-            }
+    let common = Common::parse("run", args, |flag, it| {
+        match flag {
+            "--trace" => trace = Some(it.value(flag)?),
+            "--events" => options.events_per_thread = Some(it.num::<u64>(flag)?),
             "--rate" => {
-                let v = value("--rate")?;
+                let v = it.value(flag)?;
                 let rate: f64 = v
                     .parse()
                     .map_err(|_| format!("--rate expects a number, got `{v}`"))?;
@@ -172,40 +267,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 options.target_rate = Some(rate);
             }
-            "--estimator" => estimator = value("--estimator")?,
-            "--profile" => profile = value("--profile")?,
-            "--lag" => lag = Some(parse_num::<usize>(&value("--lag")?, "--lag")?),
             "--watch" => watch = true,
-            "--family" => family = Some(value("--family")?),
-            "--splice" => splice = Some(value("--splice")?),
-            "--splice-instrs" => {
-                splice_instrs = Some(parse_num(&value("--splice-instrs")?, "--splice-instrs")?)
-            }
-            "--splice-seed" => {
-                splice_seed = Some(parse_num::<u64>(&value("--splice-seed")?, "--splice-seed")?)
-            }
-            "--latency-cap" => {
-                options.exact_latency_cap = parse_num(&value("--latency-cap")?, "--latency-cap")?
-            }
-            "--json" => json = true,
-            "--no-parity" => options.parity_check = false,
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+            "--family" => family = Some(it.value(flag)?),
+            "--splice" => splice = Some(it.value(flag)?),
+            "--splice-instrs" => splice_instrs = Some(it.num(flag)?),
+            "--splice-seed" => splice_seed = Some(it.num::<u64>(flag)?),
+            _ => return Ok(false),
         }
-    }
-    let addr = addr.ok_or("run needs --addr")?;
-    if trace.is_some() && corpus.is_some() {
-        return Err("--trace and --corpus are mutually exclusive".into());
-    }
-    if trace.is_none() && corpus.is_none() {
-        return Err("run needs --trace or --corpus".into());
-    }
-    if corpus.is_none() && (corpus_seed.is_some() || corpus_instrs.is_some()) {
-        return Err("--corpus-seed/--corpus-instrs require --corpus".into());
-    }
-    if corpus_instrs == Some(0) {
-        return Err("--corpus-instrs must be at least 1".into());
-    }
-    if splice.is_some() && corpus.is_none() {
+        Ok(true)
+    })?;
+    if splice.is_some() && common.corpus.is_none() {
         return Err("--splice requires --corpus (it splices synthesized streams)".into());
     }
     if splice.is_none() && (splice_instrs.is_some() || splice_seed.is_some()) {
@@ -217,31 +288,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if family.is_some() && !watch {
         return Err("--family requires --watch (it pins the drift detector)".into());
     }
-    if options.threads == 0 || options.batch == 0 {
-        return Err("--threads and --batch must be at least 1".into());
-    }
-    if options.events_per_thread == Some(0) {
-        return Err("--events must be at least 1".into());
-    }
+    options.threads = common.threads.unwrap_or(options.threads);
+    options.batch = common.batch.unwrap_or(options.batch);
+    options.config = common.config;
 
-    let kind = parse_estimator(&estimator)?;
-    let mut config = match profile.as_str() {
-        "paper" => OnlineConfig::paper(kind),
-        "tiny" => OnlineConfig::tiny(kind),
-        other => return Err(format!("unknown profile `{other}` (paper|tiny)")),
-    };
-    if let Some(lag) = lag {
-        config.resolve_lag = lag;
-    }
-    config.validate()?;
-    options.config = config;
-
-    let events = match (&trace, &corpus) {
-        (Some(trace), None) => control_events(trace).map_err(|e| e.to_string())?,
-        (None, Some(name)) => {
-            let entry = lookup_family(name)?;
-            let seed = corpus_seed.unwrap_or(entry.seed);
-            let instrs = corpus_instrs.unwrap_or(200_000);
+    let events = match (&trace, &common.corpus) {
+        (Some(trace), None) => control_events(trace),
+        (None, Some((entry, seed, instrs))) => {
             if watch && family.is_none() {
                 // A watched corpus run declares its own family by
                 // default, so the server pins the right reference.
@@ -250,138 +303,60 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             match &splice {
                 Some(splice_name) => {
                     let splice_entry = lookup_family(splice_name)?;
-                    let (events, _) = corpus_splice_events(
+                    corpus_splice_events(
                         &entry.family,
-                        seed,
-                        instrs,
+                        *seed,
+                        *instrs,
                         &splice_entry.family,
                         splice_seed.unwrap_or(splice_entry.seed),
-                        splice_instrs.unwrap_or(instrs),
+                        splice_instrs.unwrap_or(*instrs),
                     )
-                    .map_err(|e| e.to_string())?;
-                    events
+                    .map(|(events, _)| events)
                 }
-                None => {
-                    corpus_control_events(&entry.family, seed, instrs).map_err(|e| e.to_string())?
-                }
+                None => corpus_control_events(&entry.family, *seed, *instrs),
             }
         }
-        _ => unreachable!("exactly one source is enforced above"),
-    };
+        _ => return Err("run needs exactly one of --trace and --corpus".into()),
+    }
+    .map_err(|e| e.to_string())?;
     options.watch = watch;
     options.family = family;
-    let report = run_load(addr.as_str(), &events, &options).map_err(|e| e.to_string())?;
-
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.parity_ok == Some(false) {
-        eprintln!(
-            "paco-load: PARITY FAILURE: online predictions diverged from the offline pipeline"
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    let report = run_load(common.addr.as_str(), &events, &options).map_err(|e| e.to_string())?;
+    let failure = (!report.parity_ok).then(|| "online predictions".to_string());
+    Ok(common.emit(report.render_text(), report.render_json(), failure))
 }
 
 fn churn(args: &[String]) -> Result<ExitCode, String> {
-    let mut addr = None;
-    let mut corpus = None;
-    let mut corpus_seed = None;
-    let mut corpus_instrs: Option<u64> = None;
-    let mut estimator = "paco".to_string();
-    let mut profile = "paper".to_string();
-    let mut lag = None;
-    let mut json = false;
     let mut options = ChurnOptions::default();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(value("--addr")?),
-            "--corpus" => corpus = Some(value("--corpus")?),
-            "--corpus-seed" => {
-                corpus_seed = Some(parse_num::<u64>(&value("--corpus-seed")?, "--corpus-seed")?)
-            }
-            "--corpus-instrs" => {
-                corpus_instrs = Some(parse_num(&value("--corpus-instrs")?, "--corpus-instrs")?)
-            }
-            "--sessions" => options.sessions = parse_num(&value("--sessions")?, "--sessions")?,
-            "--threads" => options.threads = parse_num(&value("--threads")?, "--threads")?,
-            "--batch" => options.batch = parse_num(&value("--batch")?, "--batch")?,
-            "--session-events" => {
-                options.events_per_session =
-                    parse_num(&value("--session-events")?, "--session-events")?
-            }
-            "--seed" => options.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--migrate-every" => {
-                options.migrate_every = parse_num(&value("--migrate-every")?, "--migrate-every")?
-            }
-            "--estimator" => estimator = value("--estimator")?,
-            "--profile" => profile = value("--profile")?,
-            "--lag" => lag = Some(parse_num::<usize>(&value("--lag")?, "--lag")?),
-            "--json" => json = true,
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+    let common = Common::parse("churn", args, |flag, it| {
+        match flag {
+            "--sessions" => options.sessions = it.num(flag)?,
+            "--session-events" => options.events_per_session = it.num(flag)?,
+            "--seed" => options.seed = it.num(flag)?,
+            "--migrate-every" => options.migrate_every = it.num(flag)?,
+            _ => return Ok(false),
         }
-    }
-    let addr = addr.ok_or("churn needs --addr")?;
-    let corpus = corpus.ok_or("churn needs --corpus (it synthesizes the event pool)")?;
-    if options.sessions == 0 || options.threads == 0 || options.batch == 0 {
-        return Err("--sessions, --threads and --batch must be at least 1".into());
+        Ok(true)
+    })?;
+    let (entry, seed, instrs) = common
+        .corpus
+        .as_ref()
+        .ok_or("churn needs --corpus (it synthesizes the event pool)")?;
+    if options.sessions == 0 {
+        return Err("--sessions must be at least 1".into());
     }
     if options.events_per_session == 0 {
         return Err("--session-events must be at least 1".into());
     }
-    if corpus_instrs == Some(0) {
-        return Err("--corpus-instrs must be at least 1".into());
-    }
+    options.threads = common.threads.unwrap_or(options.threads);
+    options.batch = common.batch.unwrap_or(options.batch);
+    options.config = common.config;
 
-    let kind = parse_estimator(&estimator)?;
-    let mut config = match profile.as_str() {
-        "paper" => OnlineConfig::paper(kind),
-        "tiny" => OnlineConfig::tiny(kind),
-        other => return Err(format!("unknown profile `{other}` (paper|tiny)")),
-    };
-    if let Some(lag) = lag {
-        config.resolve_lag = lag;
-    }
-    config.validate()?;
-    options.config = config;
-
-    let entry = lookup_family(&corpus)?;
-    let pool = corpus_control_events(
-        &entry.family,
-        corpus_seed.unwrap_or(entry.seed),
-        corpus_instrs.unwrap_or(200_000),
-    )
-    .map_err(|e| e.to_string())?;
-
-    let report = run_churn(addr.as_str(), &pool, &options).map_err(|e| e.to_string())?;
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if !report.parity_ok() {
-        eprintln!(
-            "paco-load: PARITY FAILURE: {} churned session(s) diverged from the offline pipeline",
-            report.parity_failures.len()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} expects an integer, got `{v}`"))
+    let pool = corpus_control_events(&entry.family, *seed, *instrs).map_err(|e| e.to_string())?;
+    let report = run_churn(common.addr.as_str(), &pool, &options).map_err(|e| e.to_string())?;
+    let failure = (!report.parity_ok())
+        .then(|| format!("{} churned session(s)", report.parity_failures.len()));
+    Ok(common.emit(report.render_text(), report.render_json(), failure))
 }
 
 fn lookup_family(name: &str) -> Result<paco_corpus::CorpusEntry, String> {

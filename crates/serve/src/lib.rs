@@ -56,7 +56,7 @@ pub mod watch;
 pub use client::{offline_digest, Client, ClientError};
 pub use load::{
     control_events, corpus_control_events, corpus_splice_events, run_churn, run_load, ChurnOptions,
-    ChurnReport, LatencyMethod, LoadError, LoadOptions, LoadReport, SessionReport, SessionWatch,
+    ChurnReport, LoadError, LoadOptions, LoadReport, SessionReport, SessionWatch,
 };
 pub use metrics::{FleetCounters, ServeMetrics, SessionMode};
 pub use proto::{

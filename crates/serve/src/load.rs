@@ -4,13 +4,14 @@
 //! Replays the control-flow events of a recorded `.paco` trace across M
 //! concurrent client threads (each with its own session), optionally
 //! paced to a target aggregate event rate, and reports throughput plus
-//! round-trip latency percentiles through `paco_analysis`. With the
-//! parity check enabled (the default) every session's prediction digest
-//! is compared against an offline [`OnlinePipeline`](paco_sim::OnlinePipeline)
-//! replay of the same events — the keystone guarantee that the service
-//! returns byte-identical predictions to the offline simulator.
+//! round-trip latency percentiles from merged `paco-obs` histograms
+//! (within one ≤ 12.5% bucket of an exact sort). Every session's
+//! prediction digest is compared against an offline
+//! [`OnlinePipeline`](paco_sim::OnlinePipeline) replay of the same
+//! events — the keystone guarantee that the service returns
+//! byte-identical predictions to the offline simulator.
 
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::sync::Barrier;
 use std::thread;
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 use paco_analysis::LatencySummary;
 use paco_obs::HistogramSnapshot;
 use paco_sim::OnlineConfig;
-use paco_types::DynInstr;
+use paco_types::{DynInstr, SplitMix64};
 
 use crate::client::{offline_digest, Client, ClientError};
 
@@ -37,22 +38,12 @@ pub struct LoadOptions {
     /// Target aggregate event rate in events/second (`None` = as fast
     /// as the server answers).
     pub target_rate: Option<f64>,
-    /// Compare each session's digest against the offline pipeline.
-    pub parity_check: bool,
     /// Poll STATS mid-run and report each session's watch telemetry
     /// (drift flag, calibration error) in the final report.
     pub watch: bool,
     /// Workload family declared at HELLO time, pinning the server-side
     /// drift detector against that family's reference profile.
     pub family: Option<String>,
-    /// Per-session cap on exact round-trip samples retained in memory.
-    /// Up to this many RTTs per session, latency percentiles come from
-    /// an exact sort (the small-run oracle); past it, sessions stop
-    /// keeping individual samples and the run-wide summary switches to
-    /// the streaming log-linear histograms (every batch is still
-    /// counted — only the exact-sort path is dropped). `0` forces
-    /// streaming summaries from the first batch.
-    pub exact_latency_cap: usize,
 }
 
 impl Default for LoadOptions {
@@ -63,30 +54,8 @@ impl Default for LoadOptions {
             batch: 512,
             events_per_thread: None,
             target_rate: None,
-            parity_check: true,
             watch: false,
             family: None,
-            exact_latency_cap: 65_536,
-        }
-    }
-}
-
-/// How a [`LoadReport`]'s latency summary was computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencyMethod {
-    /// Exact sort over every retained sample (small runs).
-    Exact,
-    /// Merged streaming histograms; percentiles are bucket-interpolated
-    /// (error bounded by one log-linear bucket, ≤ 12.5% relative).
-    Streaming,
-}
-
-impl LatencyMethod {
-    /// The method's stable report name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LatencyMethod::Exact => "exact",
-            LatencyMethod::Streaming => "streaming",
         }
     }
 }
@@ -146,12 +115,8 @@ pub struct SessionReport {
     pub digest: u64,
     /// Wall-clock duration of this session's streaming loop.
     pub elapsed: Duration,
-    /// Exact round-trip time samples, microseconds — capped at
-    /// [`LoadOptions::exact_latency_cap`]; big runs carry the overflow
-    /// only in [`latency_hist`](Self::latency_hist).
-    pub latencies_us: Vec<f64>,
-    /// Streaming histogram of every batch round trip, nanoseconds
-    /// (never capped; merged across sessions for big-run summaries).
+    /// Histogram of every batch round trip, nanoseconds (fixed memory;
+    /// merged across sessions into [`LoadReport::latency_us`]).
     pub latency_hist: HistogramSnapshot,
     /// Watch telemetry from the session's final STATS poll (present iff
     /// [`LoadOptions::watch`]).
@@ -174,18 +139,14 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Aggregate throughput, events/second.
     pub events_per_sec: f64,
-    /// Batch round-trip latency summary (microseconds), pooled across
-    /// sessions.
+    /// Batch round-trip latency summary (microseconds), from the
+    /// sessions' merged histograms: percentiles are bucket-interpolated,
+    /// within one ≤ 12.5% log-linear bucket of an exact sort.
     pub latency_us: LatencySummary,
-    /// How [`latency_us`](Self::latency_us) was computed: exact sort
-    /// while every session stayed under the sample cap, streaming
-    /// histogram quantiles otherwise.
-    pub latency_method: LatencyMethod,
     /// Per-session details.
     pub sessions: Vec<SessionReport>,
-    /// Parity verdict: `Some(true)` when every session's digest matched
-    /// the offline pipeline, `None` when the check was disabled.
-    pub parity_ok: Option<bool>,
+    /// `true` when every session's digest matched the offline pipeline.
+    pub parity_ok: bool,
     /// Sessions whose drift flag latched (0 when watch was off).
     pub flagged_sessions: u64,
 }
@@ -292,58 +253,77 @@ pub fn corpus_splice_events(
     Ok((events, splice_at))
 }
 
+/// Resolves `addr` to the first socket address it names.
+fn resolve(addr: impl ToSocketAddrs) -> Result<SocketAddr, LoadError> {
+    addr.to_socket_addrs()
+        .map_err(ClientError::from)?
+        .next()
+        .ok_or_else(|| ClientError::Unexpected("address resolves to nothing".into()).into())
+}
+
+/// Streams `chunks` on `client`, one EVENTS/PREDICTIONS round trip per
+/// chunk, recording each round trip's nanoseconds into `rtt_ns`.
+fn stream<'a>(
+    client: &mut Client,
+    chunks: impl Iterator<Item = &'a [DynInstr]>,
+    rtt_ns: &mut HistogramSnapshot,
+) -> Result<(), ClientError> {
+    for chunk in chunks {
+        let t0 = Instant::now();
+        let outcomes = client.send_events(chunk)?;
+        rtt_ns.record(t0.elapsed().as_nanos() as u64);
+        debug_assert_eq!(outcomes.len(), chunk.len(), "control-only batches");
+    }
+    Ok(())
+}
+
+/// Batches between a watched session's mid-stream STATS polls.
+const STATS_EVERY: usize = 32;
+
 /// Runs one load session: streams `events` in batches, measuring each
 /// round trip.
 fn run_session(
-    addr: &std::net::SocketAddr,
+    addr: &SocketAddr,
     options: &LoadOptions,
     events: &[DynInstr],
     started: Instant,
 ) -> Result<SessionReport, LoadError> {
-    let take = options
-        .events_per_thread
-        .map(|n| (n as usize).min(events.len()))
-        .unwrap_or(events.len());
-    let events = &events[..take];
+    let batch = options.batch.max(1);
     let per_thread_rate = options
         .target_rate
         .map(|r| (r / options.threads.max(1) as f64).max(1.0));
+    // Pace against the shared epoch: a batch waits until its scheduled
+    // send time, `started` plus the events before it over the rate.
+    let pace = |offset: u64| {
+        if let Some(rate) = per_thread_rate {
+            let due = started + Duration::from_secs_f64(offset as f64 / rate);
+            if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                thread::sleep(wait);
+            }
+        }
+    };
 
     let mut client = match &options.family {
         Some(family) if options.watch => Client::connect_declaring(addr, &options.config, family)?,
         _ => Client::connect(addr, &options.config)?,
     };
     let session_started = Instant::now();
-    let expected_batches = events.len() / options.batch.max(1) + 1;
-    let mut latencies = Vec::with_capacity(expected_batches.min(options.exact_latency_cap));
     let mut latency_hist = HistogramSnapshot::new();
     let mut sent = 0u64;
-    let mut batches = 0u64;
-    for chunk in events.chunks(options.batch.max(1)) {
-        if let Some(rate) = per_thread_rate {
-            // Pace against the shared epoch: sleep until this batch's
-            // scheduled send time.
-            let due = started + Duration::from_secs_f64(sent as f64 / rate);
-            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                thread::sleep(wait);
-            }
-        }
-        let t0 = Instant::now();
-        let outcomes = client.send_events(chunk)?;
-        let rtt = t0.elapsed();
-        // The histogram sees every batch (fixed memory, no allocation);
-        // exact samples stop accumulating at the cap.
-        latency_hist.record(rtt.as_nanos() as u64);
-        if latencies.len() < options.exact_latency_cap {
-            latencies.push(rtt.as_secs_f64() * 1e6);
-        }
-        debug_assert_eq!(outcomes.len(), chunk.len(), "control-only batches");
-        sent += chunk.len() as u64;
-        batches += 1;
-        // Watch mode polls STATS mid-stream (outside the timed RTT);
-        // stats polling never touches the prediction digest, so the
-        // parity check is unaffected.
-        if options.watch && batches % 32 == 0 {
+    for segment in events.chunks(batch * STATS_EVERY) {
+        let chunks = segment
+            .chunks(batch)
+            .zip((sent..).step_by(batch))
+            .map(|(chunk, offset)| {
+                pace(offset);
+                chunk
+            });
+        stream(&mut client, chunks, &mut latency_hist)?;
+        sent += segment.len() as u64;
+        // Watch mode polls STATS after every full segment (outside the
+        // timed round trips); stats polling never touches the
+        // prediction digest, so parity is unaffected.
+        if options.watch && segment.len() == batch * STATS_EVERY {
             client.stats()?;
         }
     }
@@ -356,10 +336,9 @@ fn run_session(
     let report = SessionReport {
         session_id: client.session_id(),
         events: sent,
-        batches,
+        batches: latency_hist.count(),
         digest: client.digest(),
         elapsed,
-        latencies_us: latencies,
         latency_hist,
         watch,
     };
@@ -374,21 +353,17 @@ pub fn run_load(
     events: &[DynInstr],
     options: &LoadOptions,
 ) -> Result<LoadReport, LoadError> {
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(|e| LoadError::Client(ClientError::from(e)))?
-        .next()
-        .ok_or_else(|| {
-            LoadError::Client(ClientError::Unexpected(
-                "address resolves to nothing".into(),
-            ))
-        })?;
+    let addr = resolve(addr)?;
     if events.is_empty() || options.events_per_thread == Some(0) {
         return Err(LoadError::NoEvents);
     }
+    let events = match options.events_per_thread {
+        Some(n) => &events[..(n as usize).min(events.len())],
+        None => events,
+    };
 
     let started = Instant::now();
-    let sessions: Vec<Result<SessionReport, LoadError>> = thread::scope(|scope| {
+    let sessions: Result<Vec<SessionReport>, LoadError> = thread::scope(|scope| {
         let handles: Vec<_> = (0..options.threads.max(1))
             .map(|_| scope.spawn(|| run_session(&addr, options, events, started)))
             .collect();
@@ -398,47 +373,14 @@ pub fn run_load(
             .collect()
     });
     let elapsed = started.elapsed();
+    let reports = sessions?;
 
-    let mut reports = Vec::with_capacity(sessions.len());
-    for session in sessions {
-        reports.push(session?);
-    }
-
-    let parity_ok = if options.parity_check {
-        let take = options
-            .events_per_thread
-            .map(|n| (n as usize).min(events.len()))
-            .unwrap_or(events.len());
-        let expect = offline_digest(&options.config, &events[..take], options.batch);
-        Some(reports.iter().all(|r| r.digest == expect))
-    } else {
-        None
-    };
-
+    let expect = offline_digest(&options.config, events, options.batch);
     let total_events: u64 = reports.iter().map(|r| r.events).sum();
-    // Exact sort is the small-run oracle; once any session overflowed
-    // its sample cap the exact pool is incomplete, so the summary comes
-    // from the merged streaming histograms instead (which saw every
-    // batch).
-    let truncated = reports
-        .iter()
-        .any(|r| (r.latencies_us.len() as u64) < r.batches);
-    let (latency_us, latency_method) = if truncated {
-        let mut pooled = HistogramSnapshot::new();
-        for r in &reports {
-            pooled.merge(&r.latency_hist);
-        }
-        (summary_from_hist(&pooled), LatencyMethod::Streaming)
-    } else {
-        let all_latencies: Vec<f64> = reports
-            .iter()
-            .flat_map(|r| r.latencies_us.iter().copied())
-            .collect();
-        (
-            LatencySummary::from_samples(&all_latencies),
-            LatencyMethod::Exact,
-        )
-    };
+    let mut pooled = HistogramSnapshot::new();
+    for r in &reports {
+        pooled.merge(&r.latency_hist);
+    }
     let flagged_sessions = reports
         .iter()
         .filter(|r| r.watch.as_ref().is_some_and(|w| w.drift_flagged))
@@ -447,10 +389,9 @@ pub fn run_load(
         events: total_events,
         elapsed,
         events_per_sec: total_events as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency_us,
-        latency_method,
+        latency_us: summary_from_hist(&pooled),
+        parity_ok: reports.iter().all(|r| r.digest == expect),
         sessions: reports,
-        parity_ok,
         flagged_sessions,
     })
 }
@@ -484,10 +425,6 @@ pub struct ChurnOptions {
     /// Every `migrate_every`-th session (0 = none) issues an operator
     /// MIGRATE after resuming, letting the server pick the target.
     pub migrate_every: usize,
-    /// Attempts to claim a parked session before giving up. A resume
-    /// can race the server still parking the dropped connection, so the
-    /// driver retries `UNKNOWN_SESSION` refusals with a short sleep.
-    pub resume_retries: u32,
 }
 
 impl Default for ChurnOptions {
@@ -500,13 +437,12 @@ impl Default for ChurnOptions {
             events_per_session: 96,
             seed: 0x5eed_c4a2,
             migrate_every: 7,
-            resume_retries: 500,
         }
     }
 }
 
 /// Aggregate results of one churn storm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChurnReport {
     /// Sessions that completed both phases.
     pub sessions: usize,
@@ -581,20 +517,12 @@ impl ChurnReport {
     }
 }
 
-/// A splitmix64 step — the per-session decision stream.
-fn churn_rng(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One session's event slice: a deterministic rotation of the shared
 /// pool (pure function of `(seed, index)`).
 fn churn_slice(pool: &[DynInstr], options: &ChurnOptions, index: usize) -> (Vec<DynInstr>, usize) {
-    let mut rng = options.seed ^ (index as u64).wrapping_mul(0xd6e8_feb8_6659_fd93);
-    let offset = (churn_rng(&mut rng) % pool.len() as u64) as usize;
+    let mut rng =
+        SplitMix64::new(options.seed ^ (index as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
+    let offset = (rng.next_u64() % pool.len() as u64) as usize;
     let events: Vec<DynInstr> = pool
         .iter()
         .cycle()
@@ -609,7 +537,7 @@ fn churn_slice(pool: &[DynInstr], options: &ChurnOptions, index: usize) -> (Vec<
     let cut = if batches < 2 {
         1
     } else {
-        1 + (churn_rng(&mut rng) % (batches as u64 - 1)) as usize
+        1 + (rng.next_u64() % (batches as u64 - 1)) as usize
     };
     (events, cut)
 }
@@ -621,7 +549,6 @@ struct ParkedHalf {
     digest: u64,
     events: Vec<DynInstr>,
     cut: usize,
-    sent: u64,
 }
 
 /// Runs a churn storm against `addr`: every session streams part of its
@@ -637,15 +564,7 @@ pub fn run_churn(
     pool: &[DynInstr],
     options: &ChurnOptions,
 ) -> Result<ChurnReport, LoadError> {
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(|e| LoadError::Client(ClientError::from(e)))?
-        .next()
-        .ok_or_else(|| {
-            LoadError::Client(ClientError::Unexpected(
-                "address resolves to nothing".into(),
-            ))
-        })?;
+    let addr = resolve(addr)?;
     if pool.is_empty() || options.sessions == 0 || options.events_per_session == 0 {
         return Err(LoadError::NoEvents);
     }
@@ -655,37 +574,29 @@ pub fn run_churn(
     let started = Instant::now();
     let peak_parked = std::sync::atomic::AtomicUsize::new(0);
 
-    struct WorkerOutcome {
-        events: u64,
-        migrated: usize,
-        migrate_noops: usize,
-        parity_failures: Vec<u64>,
-        completed: usize,
-    }
-
-    let outcomes: Vec<Result<WorkerOutcome, LoadError>> = thread::scope(|scope| {
+    // Each worker tallies its share of the storm into a partial report.
+    let outcomes: Vec<Result<ChurnReport, LoadError>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 let barrier = &barrier;
                 let peak_parked = &peak_parked;
-                scope.spawn(move || -> Result<WorkerOutcome, LoadError> {
+                scope.spawn(move || -> Result<ChurnReport, LoadError> {
+                    let batch = options.batch.max(1);
+                    // The storm reports parity and parking, not latency.
+                    let mut rtt_ns = HistogramSnapshot::new();
                     // Phase A: park this worker's share of the storm.
                     let mut parked = Vec::new();
                     for index in (worker..options.sessions).step_by(threads) {
                         let (events, cut) = churn_slice(pool, options, index);
                         let mut client = Client::connect(addr, &options.config)?;
-                        let mut sent = 0u64;
-                        for chunk in events.chunks(options.batch.max(1)).take(cut) {
-                            client.send_events(chunk)?;
-                            sent += chunk.len() as u64;
-                        }
+                        let chunks = events.chunks(batch).take(cut);
+                        stream(&mut client, chunks, &mut rtt_ns)?;
                         parked.push(ParkedHalf {
                             index,
                             session_id: client.session_id(),
                             digest: client.digest(),
                             events,
                             cut,
-                            sent,
                         });
                         drop(client); // no BYE: the server parks the session
                     }
@@ -701,17 +612,10 @@ pub fn run_churn(
                     barrier.wait();
 
                     // Phase B: resume, optionally migrate, finish, verify.
-                    let mut outcome = WorkerOutcome {
-                        events: 0,
-                        migrated: 0,
-                        migrate_noops: 0,
-                        parity_failures: Vec::new(),
-                        completed: 0,
-                    };
+                    let mut outcome = ChurnReport::default();
                     for half in parked {
                         let mut client = resume_with_retry(&addr, options, half.session_id)?;
                         client.seed_digest(half.digest);
-                        let mut sent = half.sent;
                         if options.migrate_every != 0 && half.index % options.migrate_every == 0 {
                             let ack = client.migrate(None).map_err(LoadError::Client)?;
                             if ack.from_shard == ack.to_shard {
@@ -720,17 +624,17 @@ pub fn run_churn(
                                 outcome.migrated += 1;
                             }
                         }
-                        for chunk in events_rest(&half.events, options.batch, half.cut) {
-                            client.send_events(chunk)?;
-                            sent += chunk.len() as u64;
-                        }
+                        // The rest, chunked exactly as the offline oracle
+                        // chunks the whole slice.
+                        let chunks = half.events.chunks(batch).skip(half.cut);
+                        stream(&mut client, chunks, &mut rtt_ns)?;
                         let expect = offline_digest(&options.config, &half.events, options.batch);
                         if client.digest() != expect {
                             outcome.parity_failures.push(half.session_id);
                         }
                         client.bye()?;
-                        outcome.events += sent;
-                        outcome.completed += 1;
+                        outcome.events += half.events.len() as u64;
+                        outcome.sessions += 1;
                     }
                     Ok(outcome)
                 })
@@ -744,18 +648,13 @@ pub fn run_churn(
     let elapsed = started.elapsed();
 
     let mut report = ChurnReport {
-        sessions: 0,
-        events: 0,
         elapsed,
-        events_per_sec: 0.0,
         peak_parked: peak_parked.load(std::sync::atomic::Ordering::Relaxed),
-        migrated: 0,
-        migrate_noops: 0,
-        parity_failures: Vec::new(),
+        ..ChurnReport::default()
     };
     for outcome in outcomes {
         let outcome = outcome?;
-        report.sessions += outcome.completed;
+        report.sessions += outcome.sessions;
         report.events += outcome.events;
         report.migrated += outcome.migrated;
         report.migrate_noops += outcome.migrate_noops;
@@ -766,16 +665,10 @@ pub fn run_churn(
     Ok(report)
 }
 
-/// The phase-B chunks of a cut stream: everything past the first `cut`
-/// full batches, chunked exactly as the offline oracle chunks them.
-fn events_rest(events: &[DynInstr], batch: usize, cut: usize) -> impl Iterator<Item = &[DynInstr]> {
-    events.chunks(batch.max(1)).skip(cut)
-}
-
 /// Polls the server's parked-session count (via a throwaway session's
 /// STATS frame) until it reaches `want` or stops growing — phase A's
 /// EOFs race the probe, so it watches for the table to settle.
-fn probe_parked(addr: &std::net::SocketAddr, config: &OnlineConfig, want: usize) -> usize {
+fn probe_parked(addr: &SocketAddr, config: &OnlineConfig, want: usize) -> usize {
     let Ok(mut client) = Client::connect(addr, config) else {
         return 0;
     };
@@ -803,11 +696,15 @@ fn probe_parked(addr: &std::net::SocketAddr, config: &OnlineConfig, want: usize)
     best
 }
 
+/// Attempts to claim a parked session before a churn resume gives up.
+const RESUME_RETRIES: u32 = 500;
+
 /// Resumes a parked session, retrying the park race: the server may
 /// still be sweeping the dropped connection's EOF when the resume
-/// arrives, answering `UNKNOWN_SESSION` until the park lands.
+/// arrives, answering `UNKNOWN_SESSION` until the park lands (at most
+/// [`RESUME_RETRIES`] times, 2 ms apart).
 fn resume_with_retry(
-    addr: &std::net::SocketAddr,
+    addr: &SocketAddr,
     options: &ChurnOptions,
     session_id: u64,
 ) -> Result<Client, LoadError> {
@@ -816,7 +713,7 @@ fn resume_with_retry(
         match Client::resume_by_id(addr, &options.config, session_id) {
             Ok(client) => return Ok(client),
             Err(ClientError::Server(crate::proto::ErrorCode::UnknownSession, _))
-                if attempt < options.resume_retries =>
+                if attempt < RESUME_RETRIES =>
             {
                 attempt += 1;
                 thread::sleep(Duration::from_millis(2));
@@ -852,12 +749,8 @@ impl LoadReport {
             self.events_per_sec
         ));
         out.push_str(&format!(
-            "latency (batch RTT)  p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, max {:.1} us ({})\n",
-            self.latency_us.p50,
-            self.latency_us.p90,
-            self.latency_us.p99,
-            self.latency_us.max,
-            self.latency_method.as_str()
+            "latency (batch RTT)  p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, max {:.1} us\n",
+            self.latency_us.p50, self.latency_us.p90, self.latency_us.p99, self.latency_us.max
         ));
         for s in &self.sessions {
             out.push_str(&format!(
@@ -887,12 +780,10 @@ impl LoadReport {
                 ));
             }
         }
-        match self.parity_ok {
-            Some(true) => {
-                out.push_str("parity               ok (online == offline, byte-identical)\n")
-            }
-            Some(false) => out.push_str("parity               FAILED\n"),
-            None => out.push_str("parity               skipped\n"),
+        if self.parity_ok {
+            out.push_str("parity               ok (online == offline, byte-identical)\n");
+        } else {
+            out.push_str("parity               FAILED\n");
         }
         out.push_str(&format!(
             "summary              sessions {}  flagged {}\n",
@@ -913,14 +804,13 @@ impl LoadReport {
             self.events_per_sec
         ));
         out.push_str(&format!(
-            "\"latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p90\":{:.1},\"p99\":{:.1},\"max\":{:.1},\"method\":\"{}\"}},",
+            "\"latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p90\":{:.1},\"p99\":{:.1},\"max\":{:.1}}},",
             self.latency_us.count,
             self.latency_us.mean,
             self.latency_us.p50,
             self.latency_us.p90,
             self.latency_us.p99,
-            self.latency_us.max,
-            self.latency_method.as_str()
+            self.latency_us.max
         ));
         out.push_str("\"sessions\":[");
         for (i, s) in self.sessions.iter().enumerate() {
@@ -956,12 +846,7 @@ impl LoadReport {
         out.push_str("],");
         out.push_str(&format!(
             "\"flagged_sessions\":{},\"parity\":{}",
-            self.flagged_sessions,
-            match self.parity_ok {
-                Some(true) => "true",
-                Some(false) => "false",
-                None => "null",
-            }
+            self.flagged_sessions, self.parity_ok
         ));
         out.push('}');
         out

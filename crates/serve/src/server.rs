@@ -1120,15 +1120,10 @@ impl RunningServer {
         self.shared.table.parked()
     }
 
-    /// The current fleet-wide watch snapshot (what a STATS frame's
-    /// fleet half would report) — for the binary's periodic fleet log.
-    pub fn fleet_snapshot(&self) -> FleetStats {
-        self.shared.fleet.snapshot(self.shared.table.parked())
-    }
-
-    /// A `'static` snapshot closure over the same aggregate as
-    /// [`fleet_snapshot`](Self::fleet_snapshot) — for detached logger
-    /// threads that must outlive the borrow of `self`.
+    /// A `'static` closure returning the current fleet-wide watch
+    /// snapshot (what a STATS frame's fleet half would report) — for the
+    /// binary's periodic fleet log, whose detached logger thread must
+    /// outlive the borrow of `self`.
     pub fn fleet_handle(&self) -> impl Fn() -> FleetStats + Send + 'static {
         let shared = Arc::clone(&self.shared);
         move || shared.fleet.snapshot(shared.table.parked())

@@ -182,11 +182,6 @@ impl SessionTable {
     pub fn parked_bytes(&self) -> usize {
         self.parked_bytes.load(Ordering::Relaxed)
     }
-
-    /// Number of shards (for reporting).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,6 @@ fn churn_storm_holds_parity_and_reconciles_every_ledger() {
         events_per_session: 64,
         seed: 0xc4a2_5eed,
         migrate_every: 9,
-        resume_retries: 500,
     };
     let report = run_churn(server.addr(), &pool, &options).expect("churn storm");
 
@@ -154,7 +153,6 @@ fn adaptive_mrt_survives_churn_storm_byte_identical() {
         events_per_session: 96,
         seed: 0xada7_715e,
         migrate_every: 7,
-        resume_retries: 500,
     };
     let report = run_churn(server.addr(), &pool, &options).expect("adaptive churn storm");
 

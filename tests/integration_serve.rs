@@ -7,8 +7,8 @@ use std::path::PathBuf;
 
 use paco::PacoConfig;
 use paco_serve::{
-    control_events, offline_digest, run_load, Client, ClientError, ErrorCode, LoadOptions,
-    RunningServer,
+    control_events, corpus_control_events, offline_digest, run_load, Client, ClientError,
+    ErrorCode, LoadOptions, RunningServer,
 };
 use paco_sim::{EstimatorKind, OnlineConfig, OnlinePipeline};
 use paco_trace::{TraceMeta, TraceWriter};
@@ -111,13 +111,13 @@ fn four_concurrent_clients_match_four_sequential_runs() {
     };
     let concurrent = run_load(server.addr(), &events, &options).expect("concurrent load");
     assert_eq!(concurrent.sessions.len(), 4);
-    assert_eq!(concurrent.parity_ok, Some(true), "concurrent parity");
+    assert!(concurrent.parity_ok, "concurrent parity");
 
     options.threads = 1;
     let mut sequential_digests = Vec::new();
     for _ in 0..4 {
         let report = run_load(server.addr(), &events, &options).expect("sequential load");
-        assert_eq!(report.parity_ok, Some(true), "sequential parity");
+        assert!(report.parity_ok, "sequential parity");
         sequential_digests.push(report.sessions[0].digest);
     }
 
@@ -137,6 +137,40 @@ fn four_concurrent_clients_match_four_sequential_runs() {
 
     server.stop();
     let _ = std::fs::remove_file(trace);
+}
+
+/// Paced mode: one session asked for 100,000 ev/s sends 40 batches of
+/// 500 events on schedule — the last is due 19,500 events in, at
+/// 0.195 s — keeps parity, and its latency summary counts every batch.
+/// Only the lower bound is asserted, so a slow host cannot fail it.
+#[test]
+fn paced_run_keeps_its_schedule_and_parity() {
+    let entry = paco_corpus::find_entry("biased_bimodal").unwrap();
+    let events = corpus_control_events(&entry.family, entry.seed, 200_000).unwrap();
+    assert!(events.len() >= 20_000, "pool too small: {}", events.len());
+    let server = RunningServer::bind("127.0.0.1:0", 2).unwrap();
+
+    let options = LoadOptions {
+        config: tiny_paco(),
+        threads: 1,
+        batch: 500,
+        events_per_thread: Some(20_000),
+        target_rate: Some(100_000.0),
+        ..LoadOptions::default()
+    };
+    let report = run_load(server.addr(), &events, &options).expect("paced load");
+    assert!(report.parity_ok, "pacing must not break parity");
+    assert_eq!(report.events, 20_000);
+    assert!(
+        report.elapsed.as_secs_f64() >= 0.19,
+        "40 paced batches finished in {:?}",
+        report.elapsed
+    );
+    let batches: u64 = report.sessions.iter().map(|s| s.batches).sum();
+    assert_eq!(batches, 40);
+    assert_eq!(report.latency_us.count as u64, batches);
+
+    server.stop();
 }
 
 /// A client that snapshots mid-stream, disconnects, and restores from
