@@ -24,8 +24,8 @@
 //!   plus p50/p90/p99 batch round-trip latency via `paco_analysis`.
 //! * **the protocol** ([`proto`]): length-prefixed CRC-32-guarded binary
 //!   frames built from the same [`paco_types::wire`] codec as the trace
-//!   format and the bench cache; event batches reuse the `paco-trace`
-//!   record codec; config negotiation compares
+//!   format and the bench cache; an event travels as a flags byte and
+//!   a PC delta, the fields the pipeline reads; config negotiation compares
 //!   [`Canon`](paco_types::canon::Canon) hashes. `docs/PROTOCOL.md` has
 //!   the full specification.
 //!

@@ -13,6 +13,7 @@
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -572,7 +573,7 @@ pub fn run_churn(
     let threads = options.threads.max(1);
     let barrier = Barrier::new(threads);
     let started = Instant::now();
-    let peak_parked = std::sync::atomic::AtomicUsize::new(0);
+    let peak_parked = AtomicUsize::new(0);
 
     // Each worker tallies its share of the storm into a partial report.
     let outcomes: Vec<Result<ChurnReport, LoadError>> = thread::scope(|scope| {
@@ -584,32 +585,40 @@ pub fn run_churn(
                     let batch = options.batch.max(1);
                     // The storm reports parity and parking, not latency.
                     let mut rtt_ns = HistogramSnapshot::new();
-                    // Phase A: park this worker's share of the storm.
+                    // Phase A: park this worker's share of the storm. A
+                    // failure is kept, not returned, so that every worker
+                    // still reaches both barrier waits.
                     let mut parked = Vec::new();
-                    for index in (worker..options.sessions).step_by(threads) {
-                        let (events, cut) = churn_slice(pool, options, index);
-                        let mut client = Client::connect(addr, &options.config)?;
-                        let chunks = events.chunks(batch).take(cut);
-                        stream(&mut client, chunks, &mut rtt_ns)?;
-                        parked.push(ParkedHalf {
-                            index,
-                            session_id: client.session_id(),
-                            digest: client.digest(),
-                            events,
-                            cut,
-                        });
-                        drop(client); // no BYE: the server parks the session
-                    }
+                    let phase_a = (worker..options.sessions).step_by(threads).try_for_each(
+                        |index| -> Result<(), LoadError> {
+                            let (events, cut) = churn_slice(pool, options, index);
+                            let mut client = Client::connect(addr, &options.config)?;
+                            let chunks = events.chunks(batch).take(cut);
+                            stream(&mut client, chunks, &mut rtt_ns)?;
+                            parked.push(ParkedHalf {
+                                index,
+                                session_id: client.session_id(),
+                                digest: client.digest(),
+                                events,
+                                cut,
+                            });
+                            drop(client); // no BYE: the server parks the session
+                            Ok(())
+                        },
+                    );
                     if barrier.wait().is_leader() {
                         // Every session in the storm is now dropped (the
                         // server may still be sweeping the last EOFs);
                         // sample the parked gauge as the storm's peak.
                         peak_parked.store(
                             probe_parked(&addr, &options.config, options.sessions),
-                            std::sync::atomic::Ordering::Relaxed,
+                            Ordering::Relaxed,
                         );
                     }
                     barrier.wait();
+                    // A worker whose phase A failed skips phase B; the
+                    // storm returns its error.
+                    phase_a?;
 
                     // Phase B: resume, optionally migrate, finish, verify.
                     let mut outcome = ChurnReport::default();
@@ -649,7 +658,7 @@ pub fn run_churn(
 
     let mut report = ChurnReport {
         elapsed,
-        peak_parked: peak_parked.load(std::sync::atomic::Ordering::Relaxed),
+        peak_parked: peak_parked.load(Ordering::Relaxed),
         ..ChurnReport::default()
     };
     for outcome in outcomes {

@@ -3,10 +3,12 @@
 //!
 //! Layered on the workspace codec vocabulary: frames use
 //! [`paco_types::wire`] varints and CRC-32 (the same primitives as the
-//! trace format and the bench result cache), event batches reuse the
-//! `paco-trace` record codec verbatim, and config negotiation compares
-//! [`Canon`] hashes of [`OnlineConfig`]. See
-//! `docs/PROTOCOL.md` for the normative description.
+//! trace format and the bench result cache), and config negotiation
+//! compares [`Canon`] hashes of [`OnlineConfig`]. An EVENTS payload
+//! carries only what the online pipeline reads — per event a flags byte
+//! (class code, taken bit) and a zigzag PC delta — and decodes column
+//! by column into an [`EventBatch`]. See `docs/PROTOCOL.md` for the
+//! normative description.
 //!
 //! ```text
 //! frame := kind u8 | payload_len u32 LE | payload | crc32 u32 LE
@@ -20,16 +22,18 @@ use std::io::{self, Read};
 use paco_sim::OnlineConfig;
 use paco_sim::OnlineOutcome;
 use paco_sim::OutcomeBatch;
-use paco_trace::{decode_record, encode_record, DeltaState, TraceRecord};
 use paco_types::canon::Canon;
-use paco_types::wire::{crc32_update, put_uvarint, read_uvarint, write_uvarint, MAX_UVARINT_LEN};
-use paco_types::{DynInstr, EventBatch};
+use paco_types::wire::{
+    crc32_update, put_uvarint, read_uvarint, unzigzag, write_uvarint, zigzag, MAX_UVARINT_LEN,
+};
+use paco_types::{DynInstr, EventBatch, InstrClass};
 
 /// Protocol version; bumped on any incompatible frame or payload change.
 /// Version 2 added the STATS_REQ/STATS pair and the optional declared
 /// workload family in HELLO; version 3 dropped the probability bytes
-/// from each PREDICTIONS outcome (the score already determines it).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// from each PREDICTIONS outcome (the score already determines it);
+/// version 4 cut each EVENTS record to a flags byte and a PC delta.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound accepted for a frame payload.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 22;
@@ -916,11 +920,24 @@ pub fn decode_stats(mut input: &[u8]) -> Result<Stats, ProtoError> {
 //  EVENTS / PREDICTIONS                                              //
 // ------------------------------------------------------------------ //
 
-/// Encodes a batch of branch events (reusing the `paco-trace` record
-/// codec; the delta state resets per frame so frames decode
-/// independently).
+/// EVENTS flag bits 0–3: the event's class code ([`InstrClass::code`];
+/// codes above the last class are refused).
+const EVENT_CLASS_MASK: u8 = 0x0f;
+/// EVENTS flag bit 4: the event's architectural outcome was taken.
+/// Bits 5–7 are reserved and refused.
+pub const EVENT_FLAG_TAKEN: u8 = 0x10;
+
+/// The longest encoding of one event: flags and a maximal PC delta
+/// varint.
+const MAX_EVENT_BYTES: usize = 1 + MAX_UVARINT_LEN;
+
+/// Encodes a batch of branch events: the count, then per event a flags
+/// byte (class code and taken bit) and the zigzag PC delta from the
+/// previous event. The first delta is from PC 0, so frames decode
+/// independently. Targets, dependency distances and memory addresses
+/// are not sent: the online pipeline never reads them.
 pub fn encode_events(instrs: &[DynInstr]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(MAX_UVARINT_LEN + instrs.len() * MAX_EVENT_BYTES);
     encode_events_into(&mut out, instrs);
     out
 }
@@ -928,58 +945,69 @@ pub fn encode_events(instrs: &[DynInstr]) -> Vec<u8> {
 /// [`encode_events`] appending to `out` without clearing it — the
 /// client encodes its EVENTS payload this way, straight into a reused
 /// frame buffer.
+///
+/// `out` is grown once to the worst case (11 bytes per event), written
+/// by index and truncated to the bytes written.
 pub fn encode_events_into(out: &mut Vec<u8>, instrs: &[DynInstr]) {
     write_uvarint(out, instrs.len() as u64);
-    let mut delta = DeltaState::default();
+    let start = out.len();
+    out.resize(start + instrs.len() * MAX_EVENT_BYTES, 0);
+    let buf = &mut out[start..];
+    let mut at = 0;
+    let mut prev_pc = 0u64;
     for instr in instrs {
-        encode_record(out, &mut delta, &TraceRecord::from(instr));
+        let pc = instr.pc.addr();
+        buf[at] = instr.class.code() | if instr.taken { EVENT_FLAG_TAKEN } else { 0 };
+        at += 1;
+        at += put_uvarint(&mut buf[at..], zigzag(pc.wrapping_sub(prev_pc) as i64));
+        prev_pc = pc;
     }
-}
-
-/// Decodes a batch of branch events.
-pub fn decode_events(mut input: &[u8]) -> Result<Vec<DynInstr>, ProtoError> {
-    let input = &mut input;
-    let count = read_uvarint(input).ok_or_else(|| malformed("events: count"))?;
-    // Every record costs at least two bytes; reject counts the payload
-    // cannot possibly hold before allocating.
-    if count > (input.len() as u64 / 2) + 1 {
-        return Err(malformed("events: implausible count"));
-    }
-    let mut delta = DeltaState::default();
-    let mut instrs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let record = decode_record(input, &mut delta)
-            .map_err(|detail| malformed(format!("events: {detail}")))?;
-        instrs.push(DynInstr::from(record));
-    }
-    if !input.is_empty() {
-        return Err(malformed("events: trailing bytes"));
-    }
-    Ok(instrs)
+    out.truncate(start + at);
 }
 
 /// Decodes a batch of branch events straight into a (reused)
-/// struct-of-arrays [`EventBatch`] — the server hot path. Accepts
-/// exactly the payloads [`decode_events`] accepts and rejects exactly
-/// what it rejects; the only difference is the destination shape (and
-/// that the timing-only `deps`/`mem` record fields, which the
-/// confidence pipeline never reads, are parsed but not stored).
+/// struct-of-arrays [`EventBatch`] — the server hot path. The batch is
+/// sized to the count once and its columns are filled by index; on any
+/// error it is left empty.
 ///
-/// `batch` is cleared first; its capacity is retained across frames, so
-/// a steady-state connection allocates nothing per frame.
-pub fn decode_events_into(mut input: &[u8], batch: &mut EventBatch) -> Result<(), ProtoError> {
-    batch.clear();
+/// Refuses a missing or implausible count (every event is at least two
+/// bytes), reserved flag bits, unknown class codes, truncation anywhere
+/// and trailing bytes. The batch's capacity is retained across frames,
+/// so a steady-state connection allocates nothing per frame.
+pub fn decode_events_into(input: &[u8], batch: &mut EventBatch) -> Result<(), ProtoError> {
+    let decoded = decode_event_columns(input, batch);
+    if decoded.is_err() {
+        batch.clear();
+    }
+    decoded
+}
+
+/// [`decode_events_into`] without the clear on error.
+fn decode_event_columns(mut input: &[u8], batch: &mut EventBatch) -> Result<(), ProtoError> {
     let input = &mut input;
     let count = read_uvarint(input).ok_or_else(|| malformed("events: count"))?;
-    if count > (input.len() as u64 / 2) + 1 {
+    if count > input.len() as u64 / 2 {
         return Err(malformed("events: implausible count"));
     }
-    batch.reserve(count as usize);
-    let mut delta = DeltaState::default();
-    for _ in 0..count {
-        let record = decode_record(input, &mut delta)
-            .map_err(|detail| malformed(format!("events: {detail}")))?;
-        batch.push_raw(record.pc, record.class, record.taken, record.target);
+    let (pcs, classes, taken) = batch.columns_mut(count as usize);
+    let mut pc = 0u64;
+    for ((pc_out, class_out), taken_out) in pcs.iter_mut().zip(classes).zip(taken) {
+        let (&flags, rest) = input
+            .split_first()
+            .ok_or_else(|| malformed("events: flags"))?;
+        *input = rest;
+        let code = flags & EVENT_CLASS_MASK;
+        if flags & !(EVENT_CLASS_MASK | EVENT_FLAG_TAKEN) != 0 {
+            return Err(malformed("events: unknown flag bits"));
+        }
+        if InstrClass::from_code(code).is_none() {
+            return Err(malformed("events: unknown class code"));
+        }
+        let delta = read_uvarint(input).ok_or_else(|| malformed("events: pc delta"))?;
+        pc = pc.wrapping_add(unzigzag(delta) as u64);
+        *pc_out = pc;
+        *class_out = code;
+        *taken_out = flags & EVENT_FLAG_TAKEN != 0;
     }
     if !input.is_empty() {
         return Err(malformed("events: trailing bytes"));
@@ -1486,63 +1514,125 @@ mod tests {
         }
     }
 
+    fn varint_len(v: u64) -> usize {
+        (64 - v.leading_zeros()).max(1).div_ceil(7) as usize
+    }
+
+    /// Events with every field an EVENTS record drops (targets, deps,
+    /// memory addresses) and PC deltas from one to ten varint bytes.
+    fn sample_events() -> Vec<DynInstr> {
+        vec![
+            DynInstr::branch(Pc::new(0x1000), true, Pc::new(0x2000)),
+            DynInstr::alu(Pc::new(0x2000))
+                .with_deps(1, 2)
+                .with_mem(0xbeef),
+            DynInstr::branch(Pc::new(0x2004), false, Pc::new(0x1000)),
+            DynInstr::branch(Pc::new(1 << 62), false, Pc::new(0)),
+            DynInstr::branch(Pc::new(u64::MAX), true, Pc::new(0)),
+            DynInstr::branch(Pc::new(4), false, Pc::new(8)),
+        ]
+    }
+
     #[test]
     fn events_round_trip() {
-        let instrs = vec![
-            DynInstr::branch(Pc::new(0x1000), true, Pc::new(0x2000)),
-            DynInstr::branch(Pc::new(0x2000), false, Pc::new(0x1000)),
-            DynInstr::alu(Pc::new(0x2004)),
-        ];
+        let instrs = sample_events();
         let payload = encode_events(&instrs);
-        assert_eq!(decode_events(&payload).unwrap(), instrs);
+        let mut batch = EventBatch::new();
+        // Pre-dirty the batch: decode_events_into must replace it.
+        batch.push(&DynInstr::alu(Pc::new(0xdead)));
+        decode_events_into(&payload, &mut batch).unwrap();
+        assert_eq!(batch, EventBatch::from(instrs.as_slice()));
 
         let mut out = b"pending".to_vec();
         encode_events_into(&mut out, &instrs);
         assert_eq!(&out[..7], b"pending");
         assert_eq!(&out[7..], payload.as_slice());
+
+        decode_events_into(&encode_events(&[]), &mut batch).unwrap();
+        assert!(batch.is_empty());
     }
 
+    /// Decoding a whole payload (PC deltas chained across events) agrees
+    /// with decoding every event from a payload of its own.
     #[test]
     fn batched_event_decode_agrees_with_per_event_decode() {
-        let instrs = vec![
-            DynInstr::branch(Pc::new(0x1000), true, Pc::new(0x2000)),
-            // Timing-only fields are parsed (the codec interleaves them
-            // with the event fields) but not stored in the batch.
-            DynInstr::alu(Pc::new(0x2000))
-                .with_deps(1, 2)
-                .with_mem(0xbeef),
-            DynInstr::branch(Pc::new(0x2004), false, Pc::new(0x1000)),
-        ];
-        let payload = encode_events(&instrs);
-        let reference = decode_events(&payload).unwrap();
+        let instrs = sample_events();
         let mut batch = EventBatch::new();
-        // Pre-dirty the batch: decode_events_into must clear it.
+        // Pre-dirty the batch: decode_events_into must replace it.
         batch.push(&DynInstr::alu(Pc::new(0xdead)));
-        decode_events_into(&payload, &mut batch).unwrap();
-        assert_eq!(batch.len(), reference.len());
-        for (i, instr) in reference.iter().enumerate() {
-            assert_eq!(batch.pc(i), instr.pc);
-            assert_eq!(batch.class(i), instr.class);
-            assert_eq!(batch.taken(i), instr.taken);
-            assert_eq!(batch.target(i), instr.target);
+        decode_events_into(&encode_events(&instrs), &mut batch).unwrap();
+        assert_eq!(batch.len(), instrs.len());
+        let mut single = EventBatch::new();
+        for (i, instr) in instrs.iter().enumerate() {
+            decode_events_into(&encode_events(std::slice::from_ref(instr)), &mut single).unwrap();
+            assert_eq!(single.len(), 1);
+            assert_eq!(batch.pc(i), single.pc(0), "event {i}");
+            assert_eq!(batch.class(i), single.class(0), "event {i}");
+            assert_eq!(batch.taken(i), single.taken(0), "event {i}");
         }
     }
 
     #[test]
-    fn batched_event_decode_rejects_what_per_event_rejects() {
-        let payload = encode_events(&[DynInstr::branch(Pc::new(0x10), true, Pc::new(0x20))]);
+    fn event_decode_refuses_truncation_and_trailing_bytes() {
+        let payload = encode_events(&sample_events());
         let mut batch = EventBatch::new();
         for cut in 0..payload.len() {
-            let per_event = decode_events(&payload[..cut]).is_err();
-            let batched = decode_events_into(&payload[..cut], &mut batch).is_err();
-            assert_eq!(per_event, batched, "divergent verdict at cut {cut}");
-            assert!(per_event, "every truncation must be rejected");
+            batch.push(&DynInstr::alu(Pc::new(0xdead)));
+            assert!(
+                decode_events_into(&payload[..cut], &mut batch).is_err(),
+                "truncation at cut {cut} must be refused"
+            );
+            assert!(batch.is_empty(), "a refused payload leaves the batch empty");
         }
-        // Trailing garbage.
         let mut long = payload.clone();
         long.push(0);
-        assert!(decode_events(&long).is_err());
         assert!(decode_events_into(&long, &mut batch).is_err());
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn event_decode_refuses_reserved_flag_bits_and_unknown_classes() {
+        let mut batch = EventBatch::new();
+        for flags in 0..=u8::MAX {
+            // Two events so the refused flags byte is not the first one.
+            let payload = [2, 0x05, 0x08, flags, 0x08];
+            let code = flags & EVENT_CLASS_MASK;
+            let legal = flags & !(EVENT_CLASS_MASK | EVENT_FLAG_TAKEN) == 0 && code <= 9;
+            let decoded = decode_events_into(&payload, &mut batch);
+            assert_eq!(decoded.is_ok(), legal, "flags {flags:#04x}");
+            if legal {
+                assert_eq!(batch.class(1).code(), code);
+                assert_eq!(batch.taken(1), flags & EVENT_FLAG_TAKEN != 0);
+                assert_eq!(batch.pc(1), Pc::new(8));
+            } else {
+                assert!(batch.is_empty(), "flags {flags:#04x}");
+            }
+        }
+    }
+
+    /// An EVENTS payload is the count, then one flags byte and one PC
+    /// delta varint per event: no target, deps or memory bytes.
+    #[test]
+    fn events_payload_is_flags_plus_pc_delta_per_event() {
+        let mut workload = BenchmarkId::Gzip.build(5);
+        let instrs: Vec<DynInstr> = (0..20_000).map(|_| workload.next_instr()).collect();
+        assert!(instrs.iter().any(|i| i.mem.is_some() && i.deps != [0, 0]));
+        let mut prev = 0u64;
+        let deltas: Vec<u64> = instrs
+            .iter()
+            .map(|i| {
+                let delta = zigzag(i.pc.addr().wrapping_sub(prev) as i64);
+                prev = i.pc.addr();
+                delta
+            })
+            .collect();
+        assert!(
+            deltas.iter().any(|&d| d > 127),
+            "deltas must span multi-byte varints"
+        );
+        let expected = varint_len(instrs.len() as u64)
+            + deltas.iter().map(|&d| 1 + varint_len(d)).sum::<usize>();
+        assert_eq!(encode_events(&instrs).len(), expected);
     }
 
     #[test]
@@ -1622,7 +1712,6 @@ mod tests {
     /// score varint per outcome: no probability bytes.
     #[test]
     fn predictions_payload_is_flags_plus_score_per_outcome() {
-        let varint_len = |v: u64| (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
         let config = OnlineConfig::tiny(EstimatorKind::Paco(
             PacoConfig::paper().with_refresh_period(500),
         ));

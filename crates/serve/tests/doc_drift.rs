@@ -4,8 +4,8 @@
 //!
 //! The document is normative prose for humans; this suite parses its
 //! code-literal tables (frame kinds, error codes, the payload cap, the
-//! protocol version, the PREDICTIONS outcome layout, the snapshot state
-//! version) and compares them against the implementation, so neither can
+//! protocol version, the EVENTS record and PREDICTIONS outcome layouts,
+//! the snapshot state version) and compares them against the implementation, so neither can
 //! change without the other.
 
 use std::path::Path;
@@ -187,27 +187,32 @@ fn snapshot_state_version_matches_the_pipeline() {
     );
 }
 
-#[test]
-fn predictions_outcome_layout_matches_proto() {
-    let doc = protocol_md();
-    // The `outcome :=` block lists one field per line at the column of
-    // its first field; continuation lines are indented further.
-    let mut lines = doc.lines().skip_while(|l| !l.starts_with("outcome :="));
+/// The field names of a `name :=` layout block: one field per line at
+/// the column of the first field; continuation lines are indented
+/// further.
+fn layout_fields<'a>(doc: &'a str, head: &str) -> Vec<&'a str> {
+    let mut lines = doc.lines().skip_while(|l| !l.starts_with(head));
     let first = lines
         .next()
-        .expect("docs/PROTOCOL.md must spell the PREDICTIONS layout as `outcome := ...`");
-    let column = first["outcome :=".len()..]
+        .unwrap_or_else(|| panic!("docs/PROTOCOL.md must spell a `{head} ...` layout block"));
+    let column = first[head.len()..]
         .find(|c: char| !c.is_whitespace())
-        .map(|i| i + "outcome :=".len())
-        .expect("the outcome block names a first field");
-    let fields: Vec<&str> = std::iter::once(&first[column..])
+        .map(|i| i + head.len())
+        .unwrap_or_else(|| panic!("the `{head}` block names a first field"));
+    std::iter::once(&first[column..])
         .chain(lines.take_while(|l| !l.starts_with("```")).filter_map(|l| {
             let rest = l.get(column..)?;
             (l[..column].trim().is_empty() && !rest.starts_with(' ')).then_some(rest)
         }))
         .filter_map(|rest| rest.split_whitespace().next())
         .map(|name| name.trim_matches(['[', ']']))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn predictions_outcome_layout_matches_proto() {
+    let doc = protocol_md();
+    let fields = layout_fields(&doc, "outcome :=");
     assert_eq!(
         fields,
         ["flags", "score"],
@@ -224,5 +229,36 @@ fn predictions_outcome_layout_matches_proto() {
         paco::EncodedProb::SCALE,
         "docs/PROTOCOL.md decodes with scale {quoted}, EncodedProb::SCALE is {}",
         paco::EncodedProb::SCALE
+    );
+}
+
+#[test]
+fn events_record_layout_matches_proto() {
+    let doc = protocol_md();
+    let fields = layout_fields(&doc, "event :=");
+    assert_eq!(
+        fields,
+        ["flags", "pc_delta"],
+        "docs/PROTOCOL.md documents event fields {fields:?}; proto.rs encodes flags + pc_delta"
+    );
+
+    // The flags field quotes the taken bit as "bit N: taken".
+    let block: Vec<&str> = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("event :="))
+        .take_while(|l| !l.starts_with("```"))
+        .collect();
+    let bit: u32 = block
+        .iter()
+        .find_map(|l| {
+            let (before, _) = l.split_once(": taken")?;
+            before.rsplit_once("bit ")?.1.trim().parse().ok()
+        })
+        .expect("docs/PROTOCOL.md must quote the event's taken bit as `bit N: taken`");
+    assert_eq!(
+        1u8 << bit,
+        paco_serve::proto::EVENT_FLAG_TAKEN,
+        "docs/PROTOCOL.md puts taken at bit {bit}, proto.rs at {:#04x}",
+        paco_serve::proto::EVENT_FLAG_TAKEN
     );
 }

@@ -5,7 +5,8 @@
 //! tallies), plus the in-process fault-injection seams — shard stall
 //! and mid-migration disconnect — and a torn client-held snapshot blob,
 //! each of which must leave every surviving session byte-identical to
-//! offline replay.
+//! offline replay. A storm that fails part-way through must return its
+//! error rather than hang.
 //!
 //! The checked-in frame corpus (`tests/corpus_frames/`) rides along:
 //! every seed is replayed against both decode paths and the live
@@ -29,6 +30,31 @@ use paco_types::DynInstr;
 fn pool(instrs: u64) -> Vec<DynInstr> {
     let entry = paco_corpus::find_entry("biased_bimodal").expect("corpus family");
     corpus_control_events(&entry.family, entry.seed, instrs).expect("synthesize pool")
+}
+
+/// A storm whose phase A fails on only some workers (two sessions,
+/// eight threads, nothing listening) must return the failure, not leave
+/// the idle workers waiting at the phase barrier.
+#[test]
+fn churn_with_a_partly_failed_phase_a_returns_its_error() {
+    let pool = pool(1_000);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let options = ChurnOptions {
+            config: OnlineConfig::tiny(EstimatorKind::None),
+            sessions: 2,
+            threads: 8,
+            ..ChurnOptions::default()
+        };
+        let _ = tx.send(run_churn("127.0.0.1:1", &pool, &options).map(|r| r.sessions));
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run_churn hung after a phase-A failure");
+    assert!(
+        outcome.is_err(),
+        "a dead address must fail the storm: {outcome:?}"
+    );
 }
 
 fn resume_retrying(addr: std::net::SocketAddr, config: &OnlineConfig, session_id: u64) -> Client {

@@ -9,13 +9,13 @@
 
 use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
 use paco_serve::proto::{
-    decode_events, decode_hello, decode_outcomes, decode_stats, encode_events, encode_hello,
+    decode_events_into, decode_hello, decode_outcomes, decode_stats, encode_events, encode_hello,
     encode_outcomes, encode_stats, frame_bytes, read_frame, Digest, FleetStats, Frame,
     FrameDecoder, FrameKind, Hello, ProtoError, Resume, SessionStats, Stats, PROTOCOL_VERSION,
 };
 use paco_serve::{Client, ClientError, ErrorCode, RunningServer};
 use paco_sim::{EstimatorKind, OnlineConfig, OnlineOutcome, OnlinePipeline};
-use paco_types::{ControlKind, DynInstr, InstrClass, Pc};
+use paco_types::{ControlKind, DynInstr, EventBatch, InstrClass, Pc};
 use proptest::prelude::*;
 
 fn kind_from(seed: u8) -> FrameKind {
@@ -206,16 +206,19 @@ proptest! {
         );
     }
 
-    /// Event batches round trip through the record codec.
+    /// Event batches round trip through the EVENTS codec into exactly
+    /// the batch the events build directly.
     #[test]
     fn event_batches_round_trip(
         events in proptest::collection::vec(event_strategy(), 0..600),
     ) {
         let payload = encode_events(&events);
-        prop_assert_eq!(decode_events(&payload).unwrap(), events);
+        let mut batch = EventBatch::new();
+        decode_events_into(&payload, &mut batch).unwrap();
+        prop_assert_eq!(batch, EventBatch::from(events.as_slice()));
     }
 
-    /// Truncated event payloads are rejected.
+    /// Truncated event payloads are rejected and leave the batch empty.
     #[test]
     fn event_batch_truncation_is_rejected(
         events in proptest::collection::vec(event_strategy(), 1..200),
@@ -223,7 +226,9 @@ proptest! {
     ) {
         let payload = encode_events(&events);
         let cut = cut_seed as usize % payload.len();
-        prop_assert!(decode_events(&payload[..cut]).is_err());
+        let mut batch = EventBatch::from(events.as_slice());
+        prop_assert!(decode_events_into(&payload[..cut], &mut batch).is_err());
+        prop_assert!(batch.is_empty());
     }
 
     /// Prediction batches round trip, preserving probability bits

@@ -1,5 +1,5 @@
 //! Protocol-version refusal on a live server: a HELLO from the previous
-//! protocol version (whose PREDICTIONS carried probability bytes) is
+//! protocol version (whose EVENTS carried whole trace records) is
 //! answered with `ERROR PROTOCOL_MISMATCH`, and a current client on the
 //! same shard then streams with offline parity.
 

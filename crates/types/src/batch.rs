@@ -3,18 +3,21 @@
 //! The streaming confidence hot path (`paco-served`, the offline
 //! pipeline replay, `servebench`'s kernel lanes) processes events in
 //! frames of a few hundred. Handling them as a `Vec<DynInstr>` pays for
-//! a 56-byte array-of-structs element — most of it (`deps`, `mem`)
-//! never read by the confidence pipeline — plus an allocation per
-//! frame. An [`EventBatch`] keeps the per-event fields the pipeline
-//! actually touches in parallel arrays (PC, class code, outcome,
-//! target), is reusable across frames ([`clear`](EventBatch::clear)
-//! keeps capacity), and scans cache-line-densely.
+//! a 56-byte array-of-structs element — most of it (`deps`, `mem`,
+//! `target`) never read by the confidence pipeline — plus an allocation
+//! per frame. An [`EventBatch`] keeps the per-event fields the pipeline
+//! actually touches in parallel arrays (PC, class code, outcome), is
+//! reusable across frames ([`clear`](EventBatch::clear) keeps
+//! capacity), and scans cache-line-densely. These three columns are
+//! also exactly what an EVENTS frame carries, so the wire decoder fills
+//! them by index ([`columns_mut`](EventBatch::columns_mut)).
 //!
 //! The dropped fields are deliberate: dependency distances and memory
-//! addresses drive the *timing* simulator, not the event-stream
-//! confidence semantics — an [`EventBatch`] is a batch of *branch
-//! events*, not of full dynamic instructions. Round-tripping a
-//! `DynInstr` through a batch therefore zeroes `deps` and `mem`.
+//! addresses drive the *timing* simulator, and the online pipeline has
+//! no BTB or return-stack model to read a target — an [`EventBatch`] is
+//! a batch of *branch events*, not of full dynamic instructions.
+//! Round-tripping a `DynInstr` through a batch therefore zeroes `deps`,
+//! `mem` and `target`.
 
 use crate::{ControlKind, DynInstr, InstrClass, Pc};
 
@@ -58,7 +61,6 @@ pub struct EventBatch {
     pcs: Vec<u64>,
     classes: Vec<u8>,
     taken: Vec<bool>,
-    targets: Vec<u64>,
 }
 
 impl EventBatch {
@@ -73,7 +75,6 @@ impl EventBatch {
             pcs: Vec::with_capacity(n),
             classes: Vec::with_capacity(n),
             taken: Vec::with_capacity(n),
-            targets: Vec::with_capacity(n),
         }
     }
 
@@ -94,7 +95,6 @@ impl EventBatch {
         self.pcs.clear();
         self.classes.clear();
         self.taken.clear();
-        self.targets.clear();
     }
 
     /// Reserves room for `n` additional events.
@@ -102,28 +102,34 @@ impl EventBatch {
         self.pcs.reserve(n);
         self.classes.reserve(n);
         self.taken.reserve(n);
-        self.targets.reserve(n);
+    }
+
+    /// Resizes the batch to `n` events and returns its columns — PCs,
+    /// class codes, outcomes — for a decoder to fill by index.
+    ///
+    /// Every class code stored must be an [`InstrClass::code`];
+    /// [`class`](Self::class) panics on any other. A caller that cannot
+    /// fill every slot must [`clear`](Self::clear) the batch.
+    pub fn columns_mut(&mut self, n: usize) -> (&mut [u64], &mut [u8], &mut [bool]) {
+        self.pcs.resize(n, 0);
+        self.classes.resize(n, 0);
+        self.taken.resize(n, false);
+        (&mut self.pcs, &mut self.classes, &mut self.taken)
     }
 
     /// Appends one event from its raw fields.
     #[inline]
-    pub fn push_raw(&mut self, pc: u64, class: InstrClass, taken: bool, target: u64) {
+    pub fn push_raw(&mut self, pc: u64, class: InstrClass, taken: bool) {
         self.pcs.push(pc);
         self.classes.push(class.code());
         self.taken.push(taken);
-        self.targets.push(target);
     }
 
-    /// Appends one event from a [`DynInstr`] (dropping `deps`/`mem`, see
-    /// the module docs).
+    /// Appends one event from a [`DynInstr`] (dropping `deps`, `mem` and
+    /// `target`, see the module docs).
     #[inline]
     pub fn push(&mut self, instr: &DynInstr) {
-        self.push_raw(
-            instr.pc.addr(),
-            instr.class,
-            instr.taken,
-            instr.target.addr(),
-        );
+        self.push_raw(instr.pc.addr(), instr.class, instr.taken);
     }
 
     /// Appends every instruction of a slice.
@@ -145,12 +151,6 @@ impl EventBatch {
     #[inline]
     pub fn taken(&self, i: usize) -> bool {
         self.taken[i]
-    }
-
-    /// The event's taken-target address.
-    #[inline]
-    pub fn target(&self, i: usize) -> Pc {
-        Pc::new(self.targets[i])
     }
 
     /// The event's functional class.
@@ -180,7 +180,8 @@ impl EventBatch {
             .map(|((&pc, &code), &taken)| (Pc::new(pc), classify(code), taken))
     }
 
-    /// Reconstructs event `i` as a [`DynInstr`] (with empty `deps`/`mem`).
+    /// Reconstructs event `i` as a [`DynInstr`] (with empty `deps`/`mem`
+    /// and target `Pc(0)`).
     pub fn get(&self, i: usize) -> DynInstr {
         DynInstr {
             pc: self.pc(i),
@@ -188,7 +189,7 @@ impl EventBatch {
             deps: [0, 0],
             mem: None,
             taken: self.taken[i],
-            target: self.target(i),
+            target: Pc::new(0),
         }
     }
 
@@ -236,7 +237,7 @@ mod tests {
             assert_eq!(back.pc, instr.pc);
             assert_eq!(back.class, instr.class);
             assert_eq!(back.taken, instr.taken);
-            assert_eq!(back.target, instr.target);
+            assert_eq!(back.target, Pc::new(0));
         }
         let collected: Vec<DynInstr> = batch.iter().collect();
         assert_eq!(collected.len(), instrs.len());
@@ -269,6 +270,23 @@ mod tests {
     }
 
     #[test]
+    fn columns_mut_sizes_the_batch_for_filling_by_index() {
+        let mut batch = EventBatch::from(sample().as_slice());
+        let expect = EventBatch::from(&sample()[..2]);
+        let (pcs, classes, taken) = batch.columns_mut(2);
+        assert_eq!((pcs.len(), classes.len(), taken.len()), (2, 2, 2));
+        assert_eq!(batch, expect, "shrinking keeps the leading events");
+        let (pcs, classes, taken) = batch.columns_mut(5);
+        pcs[4] = 0x50;
+        classes[4] = InstrClass::Nop.code();
+        taken[4] = true;
+        assert_eq!(batch.len(), 5);
+        assert_eq!(batch.pc(4), Pc::new(0x50));
+        assert_eq!(batch.class(4), InstrClass::Nop);
+        assert!(batch.taken(4));
+    }
+
+    #[test]
     fn clear_retains_capacity() {
         let mut batch = EventBatch::from(sample().as_slice());
         let cap = batch.pcs.capacity();
@@ -295,7 +313,7 @@ mod tests {
         ];
         let mut batch = EventBatch::new();
         for (i, class) in classes.iter().enumerate() {
-            batch.push_raw(i as u64 * 4, *class, false, 0);
+            batch.push_raw(i as u64 * 4, *class, false);
         }
         for (i, class) in classes.iter().enumerate() {
             assert_eq!(batch.class(i), *class);

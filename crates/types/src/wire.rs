@@ -50,8 +50,25 @@ pub const MAX_UVARINT_LEN: usize = 10;
 /// for encoders that reserve a worst case once and write by index.
 /// Panics if `buf` is shorter than the encoding
 /// ([`MAX_UVARINT_LEN`] always suffices).
+///
+/// One- and two-byte values (warm scores, sequential PC deltas) take a
+/// straight-line fast path; longer ones fall back to the byte loop.
 #[inline]
-pub fn put_uvarint(buf: &mut [u8], mut v: u64) -> usize {
+pub fn put_uvarint(buf: &mut [u8], v: u64) -> usize {
+    if v < 0x80 {
+        buf[0] = v as u8;
+        1
+    } else if v < 0x4000 {
+        buf[0] = v as u8 | 0x80;
+        buf[1] = (v >> 7) as u8;
+        2
+    } else {
+        put_uvarint_loop(buf, v)
+    }
+}
+
+/// [`put_uvarint`] one byte at a time: the general case.
+fn put_uvarint_loop(buf: &mut [u8], mut v: u64) -> usize {
     let mut i = 0;
     while v >= 0x80 {
         buf[i] = (v as u8) | 0x80;
@@ -64,14 +81,40 @@ pub fn put_uvarint(buf: &mut [u8], mut v: u64) -> usize {
 
 /// Reads a LEB128 varint from the front of `input`, advancing it.
 /// `None` on truncation or a varint longer than 10 bytes.
+///
+/// One- and two-byte varints take a straight-line fast path; longer
+/// ones fall back to the byte loop, so the accepted bytes and the
+/// verdicts are the loop's.
 #[inline]
 pub fn read_uvarint(input: &mut &[u8]) -> Option<u64> {
+    let bytes = *input;
+    match *bytes {
+        [b0, ref rest @ ..] if b0 < 0x80 => {
+            *input = rest;
+            Some(b0 as u64)
+        }
+        [b0, b1, ref rest @ ..] if b1 < 0x80 => {
+            *input = rest;
+            Some((b0 & 0x7f) as u64 | (b1 as u64) << 7)
+        }
+        _ => {
+            let (v, len) = read_uvarint_loop(bytes)?;
+            *input = &bytes[len..];
+            Some(v)
+        }
+    }
+}
+
+/// [`read_uvarint`] one byte at a time: the general case. Returns the
+/// value and its length in bytes. It takes the slice by value, so a
+/// caller's cursor never has its address taken and stays in a
+/// register.
+fn read_uvarint_loop(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
-    for (i, &byte) in input.iter().take(10).enumerate() {
+    for (i, &byte) in bytes.iter().take(MAX_UVARINT_LEN).enumerate() {
         v |= ((byte & 0x7f) as u64) << (7 * i);
         if byte & 0x80 == 0 {
-            *input = &input[i + 1..];
-            return Some(v);
+            return Some((v, i + 1));
         }
     }
     None
@@ -195,6 +238,57 @@ mod tests {
             let n = put_uvarint(&mut buf, v);
             assert_eq!(&buf[..n], appended.as_slice(), "value {v}");
         }
+    }
+
+    /// Every value below 2^16 (the one- and two-byte fast paths and the
+    /// first three-byte values) plus both sides of each 7-bit boundary
+    /// up to `u64::MAX`.
+    fn varint_probe_values() -> Vec<u64> {
+        let mut values: Vec<u64> = (0..1 << 16).collect();
+        for k in 1..10 {
+            let edge = 1u64 << (7 * k);
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        values.extend([u64::MAX - 1, u64::MAX]);
+        values
+    }
+
+    #[test]
+    fn varint_fast_paths_agree_with_the_byte_loop() {
+        for v in varint_probe_values() {
+            let mut fast = [0xaau8; MAX_UVARINT_LEN];
+            let mut slow = [0xaau8; MAX_UVARINT_LEN];
+            let n = put_uvarint(&mut fast, v);
+            assert_eq!(n, put_uvarint_loop(&mut slow, v), "value {v}");
+            assert_eq!(fast, slow, "value {v}");
+
+            // Followed by a byte that must be left unread.
+            let mut bytes = fast[..n].to_vec();
+            bytes.push(0xff);
+            let mut rest = bytes.as_slice();
+            assert_eq!(read_uvarint(&mut rest), Some(v), "value {v}");
+            assert_eq!(rest, [0xff], "value {v}");
+            assert_eq!(read_uvarint_loop(&bytes), Some((v, n)), "value {v}");
+        }
+    }
+
+    #[test]
+    fn varint_refuses_every_truncation_and_an_eleventh_byte() {
+        for v in varint_probe_values() {
+            let mut buf = [0u8; MAX_UVARINT_LEN];
+            let n = put_uvarint(&mut buf, v);
+            for cut in 0..n {
+                let mut s = &buf[..cut];
+                assert_eq!(read_uvarint(&mut s), None, "value {v}, cut {cut}");
+                assert_eq!(s.len(), cut, "a refused read must not advance");
+            }
+        }
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x01;
+        let mut s = eleven.as_slice();
+        assert_eq!(read_uvarint(&mut s), None);
+        let mut s = &eleven[..10];
+        assert_eq!(read_uvarint(&mut s), None);
     }
 
     #[test]
