@@ -49,16 +49,13 @@ pub fn occupancy_distance(a: &[(u64, u64)], b: &[(u64, u64)]) -> f64 {
 /// toward zero, so isolated noisy windows are forgiven while a
 /// sustained regime shift crosses the limit within a few windows.
 ///
-/// An optional warmup ([`with_warmup`](Self::with_warmup)) suppresses
-/// accumulation for the first N windows after construction or
-/// [`reset`](Self::reset) — useful when the divergence source itself
-/// needs a few windows to establish a baseline.
+/// Every observed window accumulates: a caller whose divergence source
+/// needs a few windows to settle skips them before feeding the detector
+/// (the serving watch and `AdaptiveMrt` each do).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CusumDetector {
     threshold: f64,
     limit: f64,
-    warmup: u64,
-    warmup_left: u64,
     cusum: f64,
     last: f64,
     windows: u64,
@@ -73,8 +70,6 @@ impl CusumDetector {
         CusumDetector {
             threshold,
             limit,
-            warmup: 0,
-            warmup_left: 0,
             cusum: 0.0,
             last: 0.0,
             windows: 0,
@@ -82,26 +77,11 @@ impl CusumDetector {
         }
     }
 
-    /// Suppresses accumulation (and thus latching) for the first
-    /// `windows` observed windows; [`reset`](Self::reset) re-arms the
-    /// same warmup. Warmup windows still count toward
-    /// [`windows`](Self::windows) and update
-    /// [`last_divergence`](Self::last_divergence).
-    pub fn with_warmup(mut self, windows: u64) -> Self {
-        self.warmup = windows;
-        self.warmup_left = windows;
-        self
-    }
-
     /// Feeds one completed window's divergence score; returns the
     /// (latched) flag state.
     pub fn observe(&mut self, divergence: f64) -> bool {
         self.windows += 1;
         self.last = divergence;
-        if self.warmup_left > 0 {
-            self.warmup_left -= 1;
-            return self.flagged_at.is_some();
-        }
         self.cusum = (self.cusum + divergence - self.threshold).max(0.0);
         if self.flagged_at.is_none() && self.cusum > self.limit {
             self.flagged_at = Some(self.windows);
@@ -110,11 +90,9 @@ impl CusumDetector {
     }
 
     /// Returns the detector to its post-construction state: clears the
-    /// accumulator, the latch, and the window count, and re-arms the
-    /// configured warmup. The `threshold`/`limit`/warmup configuration
-    /// is untouched.
+    /// accumulator, the latch, and the window count. The
+    /// `threshold`/`limit` configuration is untouched.
     pub fn reset(&mut self) {
-        self.warmup_left = self.warmup;
         self.cusum = 0.0;
         self.last = 0.0;
         self.windows = 0;
@@ -126,30 +104,17 @@ impl CusumDetector {
         self.cusum
     }
 
-    /// Warmup windows still to be consumed before accumulation starts.
-    pub fn warmup_remaining(&self) -> u64 {
-        self.warmup_left
-    }
-
     /// Overwrites the detector's dynamic state — accumulator, last
-    /// divergence, window count, remaining warmup, and latch — from a
-    /// snapshot taken via the read accessors. Configuration
-    /// (`threshold`/`limit`/warmup length) is not part of the dynamic
-    /// state and must match the snapshot's by construction; callers
-    /// (e.g. session restore in `paco-core`) rebuild the detector from
-    /// config first, then splice the dynamics back in.
-    pub fn restore(
-        &mut self,
-        cusum: f64,
-        last: f64,
-        windows: u64,
-        warmup_left: u64,
-        flagged_at: Option<u64>,
-    ) {
+    /// divergence, window count, and latch — from a snapshot taken via
+    /// the read accessors. Configuration (`threshold`/`limit`) is not
+    /// part of the dynamic state and must match the snapshot's by
+    /// construction; callers (e.g. session restore in `paco-core`)
+    /// rebuild the detector from config first, then splice the
+    /// dynamics back in.
+    pub fn restore(&mut self, cusum: f64, last: f64, windows: u64, flagged_at: Option<u64>) {
         self.cusum = cusum;
         self.last = last;
         self.windows = windows;
-        self.warmup_left = warmup_left;
         self.flagged_at = flagged_at;
     }
 

@@ -2,47 +2,16 @@
 //!
 //! Until now the detector was only exercised indirectly through the
 //! watch plane's splice tests; with `AdaptiveMrt` reusing it inside the
-//! estimator hot path, its contract — warmup suppression, latch
-//! monotonicity, reset semantics, and the exact threshold boundary —
-//! deserves first-class coverage.
+//! estimator hot path, its contract — latch monotonicity, reset
+//! semantics, and the exact threshold boundary — deserves first-class
+//! coverage.
 
 use paco_analysis::CusumDetector;
 use proptest::prelude::*;
 
 #[test]
-fn warmup_suppresses_accumulation() {
-    let mut d = CusumDetector::new(0.1, 0.5).with_warmup(4);
-    assert_eq!(d.warmup_remaining(), 4);
-    // Four wildly divergent windows inside warmup: no accumulation, no
-    // latch — but the windows still count and `last` still updates.
-    for i in 0..4 {
-        assert!(!d.observe(10.0), "latched during warmup window {i}");
-        assert_eq!(d.cusum(), 0.0);
-    }
-    assert_eq!(d.warmup_remaining(), 0);
-    assert_eq!(d.windows(), 4);
-    assert_eq!(d.last_divergence(), 10.0);
-    // The first post-warmup window accumulates normally.
-    d.observe(0.3);
-    assert!((d.cusum() - 0.2).abs() < 1e-12);
-}
-
-#[test]
-fn zero_warmup_matches_plain_constructor() {
-    let mut plain = CusumDetector::new(0.05, 0.3);
-    let mut warm = CusumDetector::new(0.05, 0.3).with_warmup(0);
-    for i in 0..50 {
-        let div = (i as f64 * 0.7).sin().abs() * 0.2;
-        assert_eq!(plain.observe(div), warm.observe(div));
-    }
-    assert_eq!(plain, warm);
-}
-
-#[test]
-fn reset_rearms_warmup_and_clears_latch() {
-    let mut d = CusumDetector::new(0.1, 0.5).with_warmup(2);
-    d.observe(0.0);
-    d.observe(0.0);
+fn reset_clears_accumulator_and_latch() {
+    let mut d = CusumDetector::new(0.1, 0.5);
     for _ in 0..10 {
         d.observe(0.4);
     }
@@ -53,9 +22,8 @@ fn reset_rearms_warmup_and_clears_latch() {
     assert_eq!(d.cusum(), 0.0);
     assert_eq!(d.last_divergence(), 0.0);
     assert_eq!(d.windows(), 0);
-    assert_eq!(d.warmup_remaining(), 2);
     // Post-reset behaviour is identical to a fresh detector's.
-    let mut fresh = CusumDetector::new(0.1, 0.5).with_warmup(2);
+    let mut fresh = CusumDetector::new(0.1, 0.5);
     for i in 0..20 {
         let div = if i < 5 { 0.02 } else { 0.4 };
         assert_eq!(d.observe(div), fresh.observe(div));
@@ -86,20 +54,15 @@ fn threshold_boundary_is_exclusive() {
 
 #[test]
 fn restore_round_trips_dynamic_state() {
-    let mut d = CusumDetector::new(0.1, 0.5).with_warmup(3);
+    let mut d = CusumDetector::new(0.1, 0.5);
     d.observe(0.2);
     for _ in 0..8 {
         d.observe(0.37);
     }
-    let (cusum, last, windows, warmup_left, flagged_at) = (
-        d.cusum(),
-        d.last_divergence(),
-        d.windows(),
-        d.warmup_remaining(),
-        d.flagged_at(),
-    );
-    let mut rebuilt = CusumDetector::new(0.1, 0.5).with_warmup(3);
-    rebuilt.restore(cusum, last, windows, warmup_left, flagged_at);
+    let (cusum, last, windows, flagged_at) =
+        (d.cusum(), d.last_divergence(), d.windows(), d.flagged_at());
+    let mut rebuilt = CusumDetector::new(0.1, 0.5);
+    rebuilt.restore(cusum, last, windows, flagged_at);
     assert_eq!(rebuilt, d);
     // And the restored detector continues exactly like the original.
     for i in 0..30 {
@@ -116,10 +79,9 @@ proptest! {
     fn latch_is_monotone(
         threshold in 0.0f64..0.3,
         limit in 0.05f64..1.0,
-        warmup in 0u64..6,
         divs in proptest::collection::vec(0.0f64..1.0, 1..200),
     ) {
-        let mut d = CusumDetector::new(threshold, limit).with_warmup(warmup);
+        let mut d = CusumDetector::new(threshold, limit);
         let mut latched = false;
         let mut latched_at = None;
         for &div in &divs {
@@ -136,21 +98,18 @@ proptest! {
         }
     }
 
-    // The accumulator is always the max(0, ...) recurrence applied to
-    // the post-warmup suffix — warmup windows contribute nothing.
+    // The accumulator is always the max(0, ...) recurrence over every
+    // observed window.
     #[test]
     fn cusum_matches_reference_recurrence(
         threshold in 0.0f64..0.3,
-        warmup in 0u64..5,
         divs in proptest::collection::vec(0.0f64..0.6, 0..100),
     ) {
-        let mut d = CusumDetector::new(threshold, 1e9).with_warmup(warmup);
+        let mut d = CusumDetector::new(threshold, 1e9);
         let mut reference = 0.0f64;
-        for (i, &div) in divs.iter().enumerate() {
+        for &div in &divs {
             d.observe(div);
-            if (i as u64) >= warmup {
-                reference = (reference + div - threshold).max(0.0);
-            }
+            reference = (reference + div - threshold).max(0.0);
             prop_assert!((d.cusum() - reference).abs() < 1e-9);
         }
         prop_assert_eq!(d.windows(), divs.len() as u64);
@@ -162,14 +121,13 @@ proptest! {
     fn reset_equals_fresh(
         threshold in 0.0f64..0.3,
         limit in 0.05f64..1.0,
-        warmup in 0u64..6,
         divs in proptest::collection::vec(0.0f64..1.0, 0..100),
     ) {
-        let mut d = CusumDetector::new(threshold, limit).with_warmup(warmup);
+        let mut d = CusumDetector::new(threshold, limit);
         for &div in &divs {
             d.observe(div);
         }
         d.reset();
-        prop_assert_eq!(d, CusumDetector::new(threshold, limit).with_warmup(warmup));
+        prop_assert_eq!(d, CusumDetector::new(threshold, limit));
     }
 }

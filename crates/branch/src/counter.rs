@@ -1,112 +1,13 @@
 //! Saturating up/down counters, the workhorse of table-based predictors.
 
-/// An n-bit saturating counter (n ≤ 8).
-///
-/// # Examples
-///
-/// ```
-/// use paco_branch::SaturatingCounter;
-/// let mut c = SaturatingCounter::new(2, 1); // 2-bit, weakly not-taken
-/// c.increment();
-/// c.increment();
-/// c.increment();
-/// assert_eq!(c.value(), 3); // saturates at 3
-/// assert!(c.msb());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SaturatingCounter {
-    value: u8,
-    max: u8,
-}
-
-impl SaturatingCounter {
-    /// Creates an `bits`-bit counter with the given initial value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 8, or `initial` exceeds the
-    /// maximum representable value.
-    pub fn new(bits: u32, initial: u8) -> Self {
-        assert!((1..=8).contains(&bits), "counter width must be 1..=8 bits");
-        let max = ((1u16 << bits) - 1) as u8;
-        assert!(initial <= max, "initial value {initial} exceeds max {max}");
-        SaturatingCounter {
-            value: initial,
-            max,
-        }
-    }
-
-    /// Current counter value.
-    #[inline]
-    pub const fn value(self) -> u8 {
-        self.value
-    }
-
-    /// Maximum representable value.
-    #[inline]
-    pub const fn max(self) -> u8 {
-        self.max
-    }
-
-    /// Increments, saturating at the maximum.
-    #[inline]
-    pub fn increment(&mut self) {
-        if self.value < self.max {
-            self.value += 1;
-        }
-    }
-
-    /// Decrements, saturating at zero.
-    #[inline]
-    pub fn decrement(&mut self) {
-        if self.value > 0 {
-            self.value -= 1;
-        }
-    }
-
-    /// Resets to zero (the JRS miss-distance counter does this on a
-    /// mispredict).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-
-    /// Most significant bit: the conventional "predict taken" test for
-    /// direction counters.
-    #[inline]
-    pub const fn msb(self) -> bool {
-        self.value > self.max / 2
-    }
-
-    /// Whether the counter is saturated high.
-    #[inline]
-    pub const fn is_max(self) -> bool {
-        self.value == self.max
-    }
-
-    /// Overwrites the counter value (state restore); `false` if `value`
-    /// exceeds the counter's maximum, leaving it unchanged.
-    #[inline]
-    pub fn set_value(&mut self, value: u8) -> bool {
-        if value > self.max {
-            return false;
-        }
-        self.value = value;
-        true
-    }
-}
-
 /// A dense table of equal-width saturating counters.
 ///
 /// The table-based predictors (gshare, bimodal, the tournament chooser,
 /// the JRS MDC table) all hold thousands-to-millions of counters that
-/// share one width. Storing them as `Vec<SaturatingCounter>` costs two
-/// bytes per entry — half of it the `max` bound duplicated into every
-/// element. A `CounterTable` keeps one byte per counter plus a single
-/// shared bound, **halving every predictor table's memory footprint and
-/// cache traffic** — the paper's 96KB hybrid predictor state drops from
-/// ~832KB to ~416KB per pipeline/session, which is what the batched
-/// confidence hot path ends up bounded by.
+/// share one width. A `CounterTable` keeps one byte per counter plus a
+/// single shared bound (a counter that carried its own bound would cost
+/// two bytes), so the paper's 96KB hybrid predictor state takes ~416KB
+/// per pipeline/session.
 ///
 /// # Examples
 ///
@@ -350,34 +251,36 @@ mod tests {
 
     #[test]
     fn saturates_both_ends() {
-        let mut c = SaturatingCounter::new(2, 0);
-        c.decrement();
-        assert_eq!(c.value(), 0);
+        let mut t = CounterTable::new(2, 0, 1);
+        t.decrement(0);
+        assert_eq!(t.value(0), 0);
         for _ in 0..10 {
-            c.increment();
+            t.increment(0);
         }
-        assert_eq!(c.value(), 3);
-        assert!(c.is_max());
+        assert_eq!(t.value(0), 3);
+        assert_eq!(t.value(0), t.max());
     }
 
     #[test]
     fn msb_threshold_for_two_bit() {
         // 0,1 predict not-taken; 2,3 predict taken.
-        assert!(!SaturatingCounter::new(2, 0).msb());
-        assert!(!SaturatingCounter::new(2, 1).msb());
-        assert!(SaturatingCounter::new(2, 2).msb());
-        assert!(SaturatingCounter::new(2, 3).msb());
+        for initial in 0..=3u8 {
+            let mut t = CounterTable::new(2, initial, 1);
+            assert_eq!(t.msb(0), initial >= 2, "value {initial}");
+            assert_eq!(t.train(0, true), initial >= 2, "train reads msb first");
+        }
     }
 
     #[test]
     fn four_bit_counter_range() {
-        let mut c = SaturatingCounter::new(4, 0);
+        let mut t = CounterTable::new(4, 0, 2);
         for _ in 0..20 {
-            c.increment();
+            t.increment(1);
         }
-        assert_eq!(c.value(), 15);
-        c.reset();
-        assert_eq!(c.value(), 0);
+        assert_eq!((t.value(0), t.value(1)), (0, 15));
+        assert_eq!(t.counter_bits(), 4);
+        t.reset(1);
+        assert_eq!(t.value(1), 0);
     }
 
     #[test]
@@ -455,12 +358,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "width")]
     fn rejects_wide_counters() {
-        let _ = SaturatingCounter::new(9, 0);
+        let _ = CounterTable::new(9, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds")]
     fn rejects_bad_initial() {
-        let _ = SaturatingCounter::new(2, 4);
+        let _ = CounterTable::new(2, 4, 1);
     }
 }

@@ -49,7 +49,7 @@ mod tournament;
 pub use bimodal::BimodalPredictor;
 pub use btb::{Btb, BtbConfig};
 pub use confidence::{ConfidenceConfig, Mdc, MdcIndex, MdcTable};
-pub use counter::{CounterTable, SaturatingCounter};
+pub use counter::CounterTable;
 pub use gshare::GsharePredictor;
 pub use indirect::IndirectPredictor;
 pub use ras::ReturnAddressStack;

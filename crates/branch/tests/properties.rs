@@ -1,27 +1,29 @@
 //! Property-based tests for the branch-prediction substrate.
 
 use paco_branch::{
-    Btb, BtbConfig, ConfidenceConfig, DirectionPredictor, MdcTable, ReturnAddressStack,
-    SaturatingCounter, TournamentConfig, TournamentPredictor,
+    Btb, BtbConfig, ConfidenceConfig, CounterTable, DirectionPredictor, MdcTable,
+    ReturnAddressStack, TournamentConfig, TournamentPredictor,
 };
 use paco_types::Pc;
 use proptest::prelude::*;
 
 proptest! {
-    /// A saturating counter never leaves its range under any op sequence.
+    /// A table counter never leaves its range under any op sequence,
+    /// and ops on one counter leave its neighbour alone.
     #[test]
     fn counter_stays_in_range(
         bits in 1u32..=8,
         ops in proptest::collection::vec(any::<bool>(), 0..500),
     ) {
-        let mut c = SaturatingCounter::new(bits, 0);
+        let mut t = CounterTable::new(bits, 0, 2);
         for up in ops {
             if up {
-                c.increment();
+                t.increment(0);
             } else {
-                c.decrement();
+                t.decrement(0);
             }
-            prop_assert!(c.value() <= c.max());
+            prop_assert!(t.value(0) <= t.max());
+            prop_assert_eq!(t.value(1), 0);
         }
     }
 

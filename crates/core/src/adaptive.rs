@@ -440,7 +440,6 @@ impl PathConfidenceEstimator for AdaptiveMrtPredictor {
             cusum,
             f64::from_bits(last_bits),
             det_windows,
-            0,
             flagged.checked_sub(1),
         );
         true

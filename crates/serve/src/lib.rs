@@ -65,4 +65,6 @@ pub use proto::{
 };
 pub use server::{FaultInjector, RunningServer, ServeOptions};
 pub use session::{Session, SessionTable};
-pub use watch::{FleetAggregator, WatchState, DRIFT_LIMIT, DRIFT_THRESHOLD, WATCH_WINDOW};
+pub use watch::{
+    FleetAggregator, WatchDelta, WatchState, DRIFT_LIMIT, DRIFT_THRESHOLD, WATCH_WINDOW,
+};

@@ -44,9 +44,9 @@ pub struct FleetCounters {
     /// Established sessions by [`SessionMode`] (`sessions_seen` is
     /// their sum).
     pub established: [Arc<Counter>; 3],
-    /// Control events folded in fleet-wide.
+    /// Control events observed fleet-wide.
     pub events: Arc<Counter>,
-    /// Mispredicted events folded in fleet-wide.
+    /// Mispredicted events observed fleet-wide.
     pub mispredicts: Arc<Counter>,
     /// Completed watch windows fleet-wide.
     pub windows: Arc<Counter>,
@@ -148,12 +148,12 @@ impl ServeMetrics {
             established: [mode("fresh"), mode("resumed"), mode("restored")],
             events: registry.counter(
                 "paco_fleet_events_total",
-                "Control events observed fleet-wide (folded from sessions).",
+                "Control events observed fleet-wide.",
                 vec![],
             ),
             mispredicts: registry.counter(
                 "paco_fleet_mispredicts_total",
-                "Mispredicted control events fleet-wide (folded from sessions).",
+                "Mispredicted control events fleet-wide.",
                 vec![],
             ),
             windows: registry.counter(

@@ -732,8 +732,8 @@ pub struct FleetStats {
     /// (events/second, exponentially smoothed over snapshot intervals).
     pub events_per_sec_bits: u64,
     /// Pooled calibration bins across the fleet (same layout as
-    /// [`SessionStats::bins`], merged via
-    /// `paco_analysis::merge_bin_pairs`).
+    /// [`SessionStats::bins`], summed bin by bin over every session's
+    /// answered batches).
     pub bins: Vec<(u64, u64)>,
 }
 

@@ -10,15 +10,15 @@
 //!
 //! Each worker sweep drains its inbox, flushes pending writes, drains
 //! readable bytes into a per-connection [`FrameDecoder`] and processes
-//! the complete frames — the hot path stays lock-free (the only locks
-//! are the inbox mutex at sweep start and the fleet fold at batch
-//! cadence). A sweep that moves nothing ends in one `ppoll(2)` over the
-//! worker's own sockets plus its inbox's wake socket, so a waiting
-//! worker wakes the moment a socket or its inbox turns ready. For ~2 ms
-//! after its last progress a worker that owns connections caps each wait
-//! at 100 µs (`LINGER_TICK` says why); otherwise it blocks with no
-//! timeout, so an idle server uses no CPU. That call makes this module
-//! Linux-only.
+//! the complete frames — the hot path stays lock-free (the only lock
+//! is the inbox mutex at sweep start; each batch's watch delta reaches
+//! the fleet aggregator through relaxed atomics). A sweep that moves
+//! nothing ends in one `ppoll(2)` over the worker's own sockets plus
+//! its inbox's wake socket, so a waiting worker wakes the moment a
+//! socket or its inbox turns ready. For ~2 ms after its last progress a
+//! worker that owns connections caps each wait at 100 µs (`LINGER_TICK`
+//! says why); otherwise it blocks with no timeout, so an idle server
+//! uses no CPU. That call makes this module Linux-only.
 //!
 //! **Live migration**: a session moves between workers the way the
 //! HELLO handoff moves it — the source worker sends the connection,
@@ -56,12 +56,6 @@ use crate::proto::{
 };
 use crate::session::{Session, SessionTable};
 use crate::watch::{FleetAggregator, WatchState};
-
-/// How many EVENTS frames a session handles between folds of its watch
-/// deltas into the fleet aggregator. Folding takes the fleet mutex, so
-/// it happens at this cadence (plus on STATS_REQ and at session end),
-/// never per frame.
-const FOLD_EVERY_BATCHES: u64 = 32;
 
 /// Bytes read from one connection per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -311,22 +305,21 @@ impl Shared {
     }
 
     /// Parks a session that lost its connection (any non-BYE exit).
-    fn park_exit(&self, mut ctx: SessionCtx) {
-        ctx.session.watch.fold_into(&self.fleet);
+    fn park_exit(&self, session: Session) {
         self.fleet.session_ended();
         self.metrics.session_parks.inc();
         self.metrics
             .recorder()
-            .record(FlightKind::SessionPark, ctx.session.id, 0);
-        self.table.park(ctx.session);
+            .record(FlightKind::SessionPark, session.id, 0);
+        self.table.park(session);
         self.metrics.track_parked(&self.table);
     }
 
     /// Closes a connection outside any worker (shutdown leftovers),
     /// parking its session if one is attached.
     fn close_leftover(&self, mut conn: Conn) {
-        if let Some(ctx) = conn.session.take() {
-            self.park_exit(ctx);
+        if let Some(session) = conn.session.take() {
+            self.park_exit(session);
         }
         self.metrics
             .recorder()
@@ -352,14 +345,6 @@ impl Shared {
     }
 }
 
-/// A session attached to a live connection, plus the per-connection
-/// bookkeeping the old thread-per-connection handler kept on its stack.
-struct SessionCtx {
-    session: Session,
-    batches: u64,
-    drift_noted: bool,
-}
-
 /// One multiplexed connection.
 struct Conn {
     stream: TcpStream,
@@ -370,7 +355,7 @@ struct Conn {
     /// Set once the connection is done (refusal sent, BYE handled, or
     /// EOF observed): stop reading, flush what remains, then close.
     closing: bool,
-    session: Option<SessionCtx>,
+    session: Option<Session>,
 }
 
 impl Conn {
@@ -660,8 +645,8 @@ impl Worker {
                             break;
                         }
                         Flow::Bye => {
-                            let ctx = conn.session.take().expect("BYE without a session");
-                            self.bye_exit(ctx);
+                            let session = conn.session.take().expect("BYE without a session");
+                            self.bye_exit(session);
                             conn.closing = true;
                             break;
                         }
@@ -684,8 +669,8 @@ impl Worker {
                 Ok(()) => {
                     // Clean close at a frame boundary: a non-BYE exit,
                     // so the session parks for resume.
-                    if let Some(ctx) = conn.session.take() {
-                        self.shared.park_exit(ctx);
+                    if let Some(session) = conn.session.take() {
+                        self.shared.park_exit(session);
                     }
                     conn.closing = true;
                 }
@@ -745,10 +730,6 @@ impl Worker {
         // A resume just removed a parked session; keep the gauges
         // current.
         self.shared.metrics.track_parked(&self.shared.table);
-        // A reclaimed session may come back already drift-flagged; only
-        // a latch that happens on THIS connection records a flight
-        // event.
-        let drift_noted = session.watch.drift_flagged();
         let welcome = Welcome {
             session_id: session.id,
             fingerprint: code_fingerprint(),
@@ -756,11 +737,7 @@ impl Worker {
         };
         encode_frame_into(&mut conn.out, FrameKind::Welcome, &encode_welcome(&welcome));
         let home = (session.id % self.shared.workers as u64) as usize;
-        conn.session = Some(SessionCtx {
-            session,
-            batches: 0,
-            drift_noted,
-        });
+        conn.session = Some(session);
         if home == self.index {
             Flow::Continue
         } else {
@@ -773,7 +750,7 @@ impl Worker {
         let metrics = &shared.metrics;
         metrics.frame(frame.kind).inc();
         let Conn { session, out, .. } = conn;
-        let ctx = session.as_mut().expect("session frame without a session");
+        let session = session.as_mut().expect("session frame without a session");
         match frame.kind {
             FrameKind::Events => {
                 let started = Instant::now();
@@ -781,37 +758,33 @@ impl Worker {
                     return Flow::Refuse(ErrorCode::Malformed, e.to_string());
                 }
                 scratch.outcomes.clear();
-                ctx.session
+                session
                     .pipeline
                     .run_batch(&scratch.events, &mut scratch.outcomes);
                 encode_frame_with(out, FrameKind::Predictions, |out| {
                     encode_outcomes_into(out, &scratch.outcomes)
                 });
-                // Watch telemetry rides the hot loop allocation-free;
-                // the fleet fold (which locks) runs at a batch cadence.
-                ctx.session.watch.observe_batch(&scratch.outcomes);
+                // Watch telemetry rides the hot loop allocation-free,
+                // and the fleet counts the batch before its reply goes
+                // out.
+                let delta = session.watch.observe_batch(&scratch.outcomes);
+                shared.fleet.add(&delta);
                 metrics.batch_events.record(scratch.events.len() as u64);
                 metrics
                     .batch_handle_ns
                     .record(started.elapsed().as_nanos() as u64);
-                if !ctx.drift_noted && ctx.session.watch.drift_flagged() {
-                    ctx.drift_noted = true;
+                if delta.latched {
                     metrics.recorder().record(
                         FlightKind::DriftLatch,
-                        ctx.session.id,
-                        ctx.session.watch.drift_window(),
+                        session.id,
+                        session.watch.drift_window(),
                     );
-                }
-                ctx.batches += 1;
-                if ctx.batches % FOLD_EVERY_BATCHES == 0 {
-                    ctx.session.watch.fold_into(&shared.fleet);
                 }
                 Flow::Continue
             }
             FrameKind::StatsReq => {
-                ctx.session.watch.fold_into(&shared.fleet);
                 let stats = Stats {
-                    session: ctx.session.watch.session_stats(ctx.session.id),
+                    session: session.watch.session_stats(session.id),
                     fleet: shared.fleet.snapshot(shared.table.parked()),
                 };
                 encode_frame_into(out, FrameKind::Stats, &encode_stats(&stats));
@@ -819,10 +792,10 @@ impl Worker {
             }
             FrameKind::SnapshotReq => {
                 let mut state = Vec::new();
-                ctx.session.pipeline.save_state(&mut state);
+                session.pipeline.save_state(&mut state);
                 let snapshot = Snapshot {
-                    session_id: ctx.session.id,
-                    events: ctx.session.pipeline.events(),
+                    session_id: session.id,
+                    events: session.pipeline.events(),
                     state,
                 };
                 encode_frame_into(out, FrameKind::Snapshot, &encode_snapshot(&snapshot));
@@ -834,12 +807,12 @@ impl Worker {
                     Ok(req) => req,
                     Err(e) => return Flow::Refuse(ErrorCode::Malformed, e.to_string()),
                 };
-                if req.session_id != ctx.session.id {
+                if req.session_id != session.id {
                     return Flow::Refuse(
                         ErrorCode::BadState,
                         format!(
                             "MIGRATE names session {} but this connection owns session {}",
-                            req.session_id, ctx.session.id
+                            req.session_id, session.id
                         ),
                     );
                 }
@@ -857,7 +830,7 @@ impl Worker {
                     // Already there (or a single-worker server):
                     // acknowledge without moving anything.
                     let ack = MigrateAck {
-                        session_id: ctx.session.id,
+                        session_id: session.id,
                         from_shard: self.index as u32,
                         to_shard: self.index as u32,
                     };
@@ -911,7 +884,7 @@ impl Worker {
         let victim = conns
             .iter()
             .filter(|(_, c)| c.session.is_some() && !c.closing)
-            .min_by_key(|(_, c)| c.session.as_ref().map_or(u64::MAX, |s| s.session.id))
+            .min_by_key(|(_, c)| c.session.as_ref().map_or(u64::MAX, |s| s.id))
             .map(|(&id, _)| id);
         let Some(id) = victim else {
             return false;
@@ -931,7 +904,6 @@ impl Worker {
             .session
             .as_ref()
             .expect("migrating conn without session")
-            .session
             .id;
         let (from, to) = (self.index as u32, target as u32);
         metrics
@@ -959,7 +931,7 @@ impl Worker {
     /// parks its session (the client may resume with correct framing).
     fn refuse(&self, conn: &mut Conn, code: ErrorCode, msg: &str) {
         let metrics = &self.shared.metrics;
-        let session_id = conn.session.as_ref().map_or(0, |c| c.session.id);
+        let session_id = conn.session.as_ref().map_or(0, |s| s.id);
         metrics.protocol_errors.inc();
         if code == ErrorCode::Malformed {
             metrics
@@ -969,28 +941,27 @@ impl Worker {
         }
         encode_frame_into(&mut conn.out, FrameKind::Error, &encode_error(code, msg));
         conn.closing = true;
-        if let Some(ctx) = conn.session.take() {
-            self.shared.park_exit(ctx);
+        if let Some(session) = conn.session.take() {
+            self.shared.park_exit(session);
         }
     }
 
     /// Clean close: the session is discarded, but its telemetry still
     /// counts toward the fleet totals.
-    fn bye_exit(&self, mut ctx: SessionCtx) {
-        ctx.session.watch.fold_into(&self.shared.fleet);
+    fn bye_exit(&self, session: Session) {
         self.shared.fleet.session_ended();
         self.shared
             .metrics
             .recorder()
-            .record(FlightKind::SessionBye, ctx.session.id, 0);
+            .record(FlightKind::SessionBye, session.id, 0);
     }
 
     /// Final teardown of one connection: best-effort flush, park any
     /// still-attached session, record the close.
     fn close_conn(&self, mut conn: Conn) {
         let _ = conn.flush();
-        if let Some(ctx) = conn.session.take() {
-            self.shared.park_exit(ctx);
+        if let Some(session) = conn.session.take() {
+            self.shared.park_exit(session);
         }
         self.shared
             .metrics
@@ -1204,7 +1175,7 @@ fn establish(hello: &Hello, table: &SessionTable) -> Result<Session, Refusal> {
     let declared = match &hello.family {
         None => None,
         Some(name) => match paco_corpus::reference_profile(name) {
-            Some(profile) => Some((name.clone(), *profile)),
+            Some(profile) => Some((name.clone(), profile)),
             None => {
                 let known: Vec<&str> = paco_corpus::CORPUS.iter().map(|e| e.name).collect();
                 return Err((
@@ -1217,7 +1188,7 @@ fn establish(hello: &Hello, table: &SessionTable) -> Result<Session, Refusal> {
             }
         },
     };
-    let fresh_watch = |declared: Option<(String, paco_corpus::CalibrationProfile)>| match declared {
+    let fresh_watch = |declared: Option<(String, _)>| match declared {
         Some((name, profile)) => WatchState::new(Some(name), Some(profile)),
         None => WatchState::default(),
     };

@@ -12,10 +12,11 @@
 //! A parked session is not kept live. The table stores its
 //! configuration plus one packed state blob: the pipeline snapshot (the
 //! bytes SNAPSHOT returns, every counter at its hardware width)
-//! followed by the watch state. So a parked session costs its state
-//! bytes, not its live tables. Claiming rebuilds the pipeline from the
-//! configuration and restores it through the same `load_state` a
-//! resume-by-blob uses.
+//! followed by the watch state (its counters, detector and family name;
+//! the family's reference profile is shipped data, resolved again on
+//! claim). So a parked session costs its state bytes, not its live
+//! tables. Claiming rebuilds the pipeline from the configuration and
+//! restores it through the same `load_state` a resume-by-blob uses.
 //!
 //! The table is sharded by session id so N clients connecting,
 //! detaching and resuming concurrently contend only on their own shard's
@@ -243,7 +244,7 @@ mod tests {
         let entry = paco_corpus::find_entry("biased_bimodal").expect("corpus family");
         let events = crate::corpus_control_events(&entry.family, entry.seed, 60_000)
             .expect("synthesize events");
-        let reference = *paco_corpus::reference_profile(entry.name).expect("reference");
+        let reference = paco_corpus::reference_profile(entry.name).expect("reference");
         let t = SessionTable::new(2);
         for kind in [
             EstimatorKind::None,

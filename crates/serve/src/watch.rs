@@ -18,12 +18,12 @@
 //! drift flag within a few windows, while an on-profile stream bleeds
 //! the accumulator back to zero.
 //!
-//! Sessions fold their counter *deltas* into the shared
-//! [`FleetAggregator`] at batch-count checkpoints (not per batch — the
-//! hot loop takes no locks), on STATS_REQ, and when the connection
-//! ends; the aggregator pools calibration bins across sessions via
-//! [`paco_analysis::merge_bin_pairs`] and tracks a smoothed fleet event
-//! rate.
+//! Each [`WatchState::observe_batch`] returns what the batch added (a
+//! [`WatchDelta`]), and the server adds that to the shared
+//! [`FleetAggregator`] before the batch's reply goes out, so the fleet
+//! counts every answered batch of every session. Adding takes no lock:
+//! counters and pooled calibration bins are striped `paco-obs`
+//! counters. The aggregator also tracks a smoothed fleet event rate.
 //!
 //! Everything in a session's telemetry is a deterministic function of
 //! its event stream: no clocks, no randomness. The lane-determinism
@@ -34,8 +34,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use paco::decode_score;
-use paco_analysis::{merge_bin_pairs, occupancy_distance, CusumDetector};
+use paco_analysis::{occupancy_distance, CusumDetector};
 use paco_corpus::{prob_bin, CalibrationProfile, PROFILE_BINS, PROFILE_WINDOW};
+use paco_obs::Counter;
 use paco_sim::{OnlineOutcome, OutcomeBatch};
 use paco_types::wire::{read_uvarint, write_uvarint};
 
@@ -114,8 +115,10 @@ pub struct WatchState {
     /// The current rolling window (reset every [`WATCH_WINDOW`] events).
     window: CalibrationProfile,
     detector: CusumDetector,
-    /// The declared family's reference profile, when one was declared.
-    reference: Option<CalibrationProfile>,
+    /// The declared family's shipped reference profile, when one was
+    /// declared: borrowed from [`paco_corpus::reference_profile`], never
+    /// copied.
+    reference: Option<&'static CalibrationProfile>,
     family: Option<String>,
     /// Completed rolling windows (including warmup windows the detector
     /// never saw).
@@ -123,19 +126,26 @@ pub struct WatchState {
     /// The 1-based completed-window index at which the drift flag
     /// latched; 0 = never.
     drift_window: u64,
-    // Fold marks: the portion of the counters already delta-folded into
-    // the fleet aggregator.
-    folded_events: u64,
-    folded_mispredicts: u64,
-    folded_windows: u64,
-    folded_bins: [(u64, u64); PROFILE_BINS],
-    folded_flag: bool,
+}
+
+/// What one [`WatchState::observe_batch`] call added to the session's
+/// lifetime telemetry: the fleet aggregator's whole input. Summed over
+/// a session's batches it equals the session's lifetime counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WatchDelta {
+    /// Events, mispredicts and calibration bins the batch added.
+    pub counts: CalibrationProfile,
+    /// Rolling windows the batch completed.
+    pub windows: u64,
+    /// Whether the session's drift flag latched during the batch (true
+    /// in exactly one batch of a flagged session's life).
+    pub latched: bool,
 }
 
 impl WatchState {
     /// A fresh watch state, optionally pinned to a declared workload
     /// family and its reference profile.
-    pub fn new(family: Option<String>, reference: Option<CalibrationProfile>) -> Self {
+    pub fn new(family: Option<String>, reference: Option<&'static CalibrationProfile>) -> Self {
         WatchState {
             cum: CalibrationProfile::new(),
             window: CalibrationProfile::new(),
@@ -144,11 +154,6 @@ impl WatchState {
             family,
             windows: 0,
             drift_window: 0,
-            folded_events: 0,
-            folded_mispredicts: 0,
-            folded_windows: 0,
-            folded_bins: [(0, 0); PROFILE_BINS],
-            folded_flag: false,
         }
     }
 
@@ -156,7 +161,7 @@ impl WatchState {
     /// (reclaiming a parked session with a declaring HELLO). A session
     /// that already has a family keeps it — telemetry stays a
     /// deterministic function of the original declaration.
-    pub fn declare(&mut self, family: String, reference: CalibrationProfile) {
+    pub fn declare(&mut self, family: String, reference: &'static CalibrationProfile) {
         if self.family.is_none() {
             self.family = Some(family);
             self.reference = Some(reference);
@@ -169,19 +174,25 @@ impl WatchState {
         self.record(outcome.probability(), outcome.mispredicted);
     }
 
-    /// Records a whole outcome batch (the server hot loop). Reads the
-    /// struct-of-arrays columns directly and allocates nothing. The
-    /// batch is processed in chunks that stop exactly at window
-    /// boundaries, so the inner loop carries no per-event rollover
-    /// check and settles the event/mispredict counters once per chunk;
-    /// window rolls happen at the same event index as in the per-event
-    /// lane (the lane-determinism test holds the two to identical
-    /// bytes).
-    pub fn observe_batch(&mut self, outcomes: &OutcomeBatch) {
+    /// Records a whole outcome batch (the server hot loop) and returns
+    /// what it added: the window's growth over the batch, counting each
+    /// window that rolls on the way. Reads the struct-of-arrays columns
+    /// directly and allocates nothing. The batch is processed in chunks
+    /// that stop exactly at window boundaries, so the inner loop
+    /// carries no per-event rollover check and settles the
+    /// event/mispredict counters once per chunk; window rolls happen at
+    /// the same event index as in the per-event lane (the
+    /// lane-determinism test holds the two to identical bytes).
+    pub fn observe_batch(&mut self, outcomes: &OutcomeBatch) -> WatchDelta {
         // Binning stays in the integer score domain: the score table is
         // bit-identical to `prob_bin` on the decoded score, so the
         // decode the per-event lane does is skipped entirely.
         let binner = ScoreBinner::new();
+        let was_flagged = self.detector.is_flagged();
+        let mut delta = WatchDelta::default();
+        // The window as the batch found it; `None` once it has rolled
+        // (a rolled window restarts empty).
+        let mut start = Some(self.window);
         let (mut flags, mut scores) = (outcomes.flags(), outcomes.scores());
         while !flags.is_empty() {
             let take = ((WATCH_WINDOW - self.window.events()) as usize).min(flags.len());
@@ -197,10 +208,15 @@ impl WatchState {
             }
             self.window.add_counts(take as u64, mispredicts);
             if self.window.events() >= WATCH_WINDOW {
+                absorb_growth(&mut delta.counts, &self.window, start.take().as_ref());
                 self.roll_window();
+                delta.windows += 1;
             }
             (flags, scores) = (rest_flags, rest_scores);
         }
+        absorb_growth(&mut delta.counts, &self.window, start.as_ref());
+        delta.latched = !was_flagged && self.detector.is_flagged();
+        delta
     }
 
     #[inline]
@@ -262,11 +278,6 @@ impl WatchState {
         self.family.as_deref()
     }
 
-    /// Control events observed.
-    pub fn events(&self) -> u64 {
-        self.cum.events() + self.window.events()
-    }
-
     /// The session's telemetry as a wire-ready [`SessionStats`].
     pub fn session_stats(&self, session_id: u64) -> SessionStats {
         let lifetime = self.lifetime();
@@ -287,8 +298,9 @@ impl WatchState {
     }
 
     /// Appends the complete state: both profiles, the detector's
-    /// dynamics (`f64`s as their bits), the reference profile, the
-    /// family, the window counts and the fold marks. The session table
+    /// dynamics (`f64`s as their bits), the family and the window
+    /// counts. The reference profile is not saved: it is shipped data,
+    /// resolved again from the family name on load. The session table
     /// parks a session as this plus its pipeline snapshot; unlike a
     /// pipeline snapshot, this blob never leaves the process.
     pub fn save_state(&self, out: &mut Vec<u8>) {
@@ -298,17 +310,9 @@ impl WatchState {
             self.detector.cusum().to_bits(),
             self.detector.last_divergence().to_bits(),
             self.detector.windows(),
-            self.detector.warmup_remaining(),
             self.detector.flagged_at().map_or(0, |w| w + 1),
         ] {
             write_uvarint(out, v);
-        }
-        match &self.reference {
-            None => out.push(0),
-            Some(reference) => {
-                out.push(1);
-                reference.save_state(out);
-            }
         }
         match &self.family {
             None => write_uvarint(out, 0),
@@ -317,38 +321,22 @@ impl WatchState {
                 out.extend_from_slice(family.as_bytes());
             }
         }
-        for v in [
-            self.windows,
-            self.drift_window,
-            self.folded_events,
-            self.folded_mispredicts,
-            self.folded_windows,
-        ] {
-            write_uvarint(out, v);
-        }
-        for &(instances, correct) in &self.folded_bins {
-            write_uvarint(out, instances);
-            write_uvarint(out, correct);
-        }
-        out.push(self.folded_flag as u8);
+        write_uvarint(out, self.windows);
+        write_uvarint(out, self.drift_window);
     }
 
     /// Rebuilds a watch state written by [`save_state`](Self::save_state),
-    /// advancing `input`; `None` on truncation or a malformed field.
+    /// advancing `input`; `None` on truncation, a malformed field, or a
+    /// family with no shipped reference profile.
     pub fn load_state(input: &mut &[u8]) -> Option<WatchState> {
         let cum = CalibrationProfile::load_state(input)?;
         let window = CalibrationProfile::load_state(input)?;
         let mut detector = CusumDetector::new(DRIFT_THRESHOLD, DRIFT_LIMIT);
         let cusum = f64::from_bits(read_uvarint(input)?);
         let last = f64::from_bits(read_uvarint(input)?);
-        let (det_windows, warmup_left) = (read_uvarint(input)?, read_uvarint(input)?);
+        let det_windows = read_uvarint(input)?;
         let flagged_at = read_uvarint(input)?.checked_sub(1);
-        detector.restore(cusum, last, det_windows, warmup_left, flagged_at);
-        let reference = match take_byte(input)? {
-            0 => None,
-            1 => Some(CalibrationProfile::load_state(input)?),
-            _ => return None,
-        };
+        detector.restore(cusum, last, det_windows, flagged_at);
         let family = match read_uvarint(input)?.checked_sub(1) {
             None => None,
             Some(len) => {
@@ -358,66 +346,38 @@ impl WatchState {
                 Some(String::from_utf8(name.to_vec()).ok()?)
             }
         };
+        let reference = match &family {
+            None => None,
+            Some(name) => Some(paco_corpus::reference_profile(name)?),
+        };
         let mut watch = WatchState::new(family, reference);
         watch.cum = cum;
         watch.window = window;
         watch.detector = detector;
         watch.windows = read_uvarint(input)?;
         watch.drift_window = read_uvarint(input)?;
-        watch.folded_events = read_uvarint(input)?;
-        watch.folded_mispredicts = read_uvarint(input)?;
-        watch.folded_windows = read_uvarint(input)?;
-        for bin in &mut watch.folded_bins {
-            *bin = (read_uvarint(input)?, read_uvarint(input)?);
-        }
-        watch.folded_flag = match take_byte(input)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
         Some(watch)
-    }
-
-    /// Folds this session's counter growth since the last fold into the
-    /// fleet aggregator (one lock acquisition; called at batch-count
-    /// checkpoints, on STATS_REQ and at connection end — never per
-    /// event).
-    pub fn fold_into(&mut self, fleet: &FleetAggregator) {
-        let lifetime = self.lifetime();
-        let delta_events = lifetime.events() - self.folded_events;
-        let delta_mispredicts = lifetime.mispredicts() - self.folded_mispredicts;
-        let delta_windows = self.windows - self.folded_windows;
-        let mut delta_bins = [(0u64, 0u64); PROFILE_BINS];
-        for (delta, (&now, &folded)) in delta_bins
-            .iter_mut()
-            .zip(lifetime.bins().iter().zip(&self.folded_bins))
-        {
-            *delta = (now.0 - folded.0, now.1 - folded.1);
-        }
-        let newly_flagged = self.detector.is_flagged() && !self.folded_flag;
-        if delta_events == 0 && !newly_flagged {
-            return;
-        }
-        fleet.fold(
-            delta_events,
-            delta_mispredicts,
-            delta_windows,
-            &delta_bins,
-            newly_flagged,
-        );
-        self.folded_events = lifetime.events();
-        self.folded_mispredicts = lifetime.mispredicts();
-        self.folded_windows = self.windows;
-        self.folded_bins.copy_from_slice(lifetime.bins());
-        self.folded_flag = self.detector.is_flagged();
     }
 }
 
-/// Reads one byte, advancing `input`.
-fn take_byte(input: &mut &[u8]) -> Option<u8> {
-    let (&byte, rest) = input.split_first()?;
-    *input = rest;
-    Some(byte)
+/// Adds to `into` what `now` holds beyond `then`, an earlier state of
+/// the same profile (all of `now` when there is no `then`).
+fn absorb_growth(
+    into: &mut CalibrationProfile,
+    now: &CalibrationProfile,
+    then: Option<&CalibrationProfile>,
+) {
+    let Some(then) = then else {
+        into.absorb(now);
+        return;
+    };
+    into.add_counts(
+        now.events() - then.events(),
+        now.mispredicts() - then.mispredicts(),
+    );
+    for (bin, (n, t)) in now.bins().iter().zip(then.bins()).enumerate() {
+        into.add_bin(bin, n.0 - t.0, n.1 - t.1);
+    }
 }
 
 impl Default for WatchState {
@@ -427,24 +387,25 @@ impl Default for WatchState {
 }
 
 /// Fleet-wide pooled telemetry, shared by every connection handler.
-/// Sessions fold counter deltas in; STATS_REQ, the server's periodic
-/// log and `/metrics` scrapes read the same cells out — the scalar
-/// counters *are* registry handles ([`FleetCounters`]), so there is no
-/// parallel bookkeeping to keep in sync. Only the calibration bins and
-/// the rate-smoothing state (protocol-level data with no Prometheus
-/// shape) stay under the mutex.
+/// Sessions add their per-batch [`WatchDelta`]s; STATS_REQ, the
+/// server's periodic log and `/metrics` scrapes read the same cells out
+/// — the scalar counters *are* registry handles ([`FleetCounters`]), so
+/// there is no parallel bookkeeping to keep in sync. The pooled
+/// calibration bins (protocol-level data with no Prometheus shape) are
+/// unregistered counters beside them; only the rate-smoothing state,
+/// which snapshots alone touch, sits under a mutex.
 #[derive(Debug)]
 pub struct FleetAggregator {
     counters: FleetCounters,
-    inner: Mutex<FleetInner>,
+    bins: [(Counter, Counter); PROFILE_BINS],
+    rate: Mutex<FleetRate>,
 }
 
 #[derive(Debug)]
-struct FleetInner {
-    bins: [(u64, u64); PROFILE_BINS],
-    rate_at: Instant,
-    rate_events: u64,
-    rate: f64,
+struct FleetRate {
+    at: Instant,
+    events: u64,
+    per_sec: f64,
 }
 
 impl FleetAggregator {
@@ -460,11 +421,11 @@ impl FleetAggregator {
     pub fn with_counters(counters: FleetCounters) -> Self {
         FleetAggregator {
             counters,
-            inner: Mutex::new(FleetInner {
-                bins: [(0, 0); PROFILE_BINS],
-                rate_at: Instant::now(),
-                rate_events: 0,
-                rate: 0.0,
+            bins: std::array::from_fn(|_| (Counter::new(), Counter::new())),
+            rate: Mutex::new(FleetRate {
+                at: Instant::now(),
+                events: 0,
+                per_sec: 0.0,
             }),
         }
     }
@@ -480,22 +441,25 @@ impl FleetAggregator {
         self.counters.active.sub(1.0);
     }
 
-    /// Absorbs one session's counter deltas; `newly_flagged` marks the
-    /// first fold after that session's drift flag latched.
-    fn fold(
-        &self,
-        delta_events: u64,
-        delta_mispredicts: u64,
-        delta_windows: u64,
-        delta_bins: &[(u64, u64); PROFILE_BINS],
-        newly_flagged: bool,
-    ) {
-        self.counters.events.add(delta_events);
-        self.counters.mispredicts.add(delta_mispredicts);
-        self.counters.windows.add(delta_windows);
-        self.counters.drift_latches.add(newly_flagged as u64);
-        let mut inner = self.inner.lock().unwrap();
-        merge_bin_pairs(&mut inner.bins, delta_bins);
+    /// Adds what one session batch added: striped counters, no lock,
+    /// and no write for what a batch usually leaves at zero (windows,
+    /// the latch, most bins).
+    pub fn add(&self, delta: &WatchDelta) {
+        let counts = &delta.counts;
+        self.counters.events.add(counts.events());
+        self.counters.mispredicts.add(counts.mispredicts());
+        if delta.windows != 0 {
+            self.counters.windows.add(delta.windows);
+        }
+        if delta.latched {
+            self.counters.drift_latches.inc();
+        }
+        for ((instances, correct), &(n, c)) in self.bins.iter().zip(counts.bins()) {
+            if n != 0 {
+                instances.add(n);
+                correct.add(c);
+            }
+        }
     }
 
     /// The fleet snapshot as a wire-ready [`FleetStats`]. `parked` is
@@ -505,18 +469,18 @@ impl FleetAggregator {
     /// and written through to the `paco_fleet_events_per_sec` gauge.
     pub fn snapshot(&self, parked: usize) -> FleetStats {
         let events = self.counters.events.value();
-        let mut inner = self.inner.lock().unwrap();
-        let elapsed = inner.rate_at.elapsed();
+        let mut rate = self.rate.lock().expect("fleet rate state poisoned");
+        let elapsed = rate.at.elapsed();
         if elapsed.as_millis() >= 50 {
-            let fresh = (events - inner.rate_events) as f64 / elapsed.as_secs_f64();
-            inner.rate = if inner.rate == 0.0 {
+            let fresh = (events - rate.events) as f64 / elapsed.as_secs_f64();
+            rate.per_sec = if rate.per_sec == 0.0 {
                 fresh
             } else {
-                0.5 * inner.rate + 0.5 * fresh
+                0.5 * rate.per_sec + 0.5 * fresh
             };
-            inner.rate_at = Instant::now();
-            inner.rate_events = events;
-            self.counters.events_per_sec.set(inner.rate);
+            rate.at = Instant::now();
+            rate.events = events;
+            self.counters.events_per_sec.set(rate.per_sec);
         }
         FleetStats {
             sessions_active: self.counters.active.value() as u64,
@@ -525,8 +489,12 @@ impl FleetAggregator {
             flagged_sessions: self.counters.drift_latches.value(),
             events,
             mispredicts: self.counters.mispredicts.value(),
-            events_per_sec_bits: inner.rate.to_bits(),
-            bins: inner.bins.to_vec(),
+            events_per_sec_bits: rate.per_sec.to_bits(),
+            bins: self
+                .bins
+                .iter()
+                .map(|(n, c)| (n.value(), c.value()))
+                .collect(),
         }
     }
 }
@@ -564,13 +532,49 @@ mod tests {
         }
     }
 
-    fn reference_like(mix: &[(f64, bool)]) -> CalibrationProfile {
+    /// The outcomes of `windows` full windows drawn from `mix`, as one
+    /// batch.
+    fn batch_of(windows: u64, mix: &[(f64, bool)]) -> OutcomeBatch {
+        let mut batch = OutcomeBatch::new();
+        for i in 0..windows * WATCH_WINDOW {
+            let (p, m) = mix[i as usize % mix.len()];
+            batch.push(&outcome(p, m));
+        }
+        batch
+    }
+
+    /// A synthetic reference profile drawn from `mix`, leaked so it can
+    /// stand where a shipped one would.
+    fn reference_like(mix: &[(f64, bool)]) -> &'static CalibrationProfile {
         let mut profile = CalibrationProfile::new();
         for i in 0..(4 * WATCH_WINDOW) {
             let (p, m) = mix[i as usize % mix.len()];
             profile.record(outcome(p, m).probability(), m);
         }
-        profile
+        Box::leak(Box::new(profile))
+    }
+
+    /// A watch declared to a shipped corpus family, whose saved state
+    /// reloads (a synthetic family has no profile to resolve).
+    fn declared() -> WatchState {
+        let family = "biased_bimodal";
+        WatchState::new(
+            Some(family.into()),
+            Some(paco_corpus::reference_profile(family).expect("shipped family")),
+        )
+    }
+
+    /// Outcomes whose scores sweep every bin (and past the score table
+    /// into bin 0), with a mix of mispredicts and missing probabilities.
+    fn sweep(n: u64) -> Vec<OnlineOutcome> {
+        (0..n)
+            .map(|i| OnlineOutcome {
+                score: i * 97 % 7000,
+                has_prob: i % 7 != 0,
+                predicted_taken: i % 2 == 0,
+                mispredicted: i % 5 == 0,
+            })
+            .collect()
     }
 
     const STEADY: &[(f64, bool)] = &[
@@ -624,15 +628,7 @@ mod tests {
 
     #[test]
     fn batched_and_per_event_observation_agree() {
-        // Scores sweep every bin, and past the table into bin 0.
-        let outcomes: Vec<OnlineOutcome> = (0..(3 * WATCH_WINDOW + 17))
-            .map(|i| OnlineOutcome {
-                score: i * 97 % 7000,
-                has_prob: i % 7 != 0,
-                predicted_taken: i % 2 == 0,
-                mispredicted: i % 5 == 0,
-            })
-            .collect();
+        let outcomes = sweep(3 * WATCH_WINDOW + 17);
         let reference = reference_like(STEADY);
 
         let mut per_event = WatchState::new(Some("steady".into()), Some(reference));
@@ -657,35 +653,84 @@ mod tests {
     }
 
     #[test]
-    fn fold_into_accumulates_deltas_once() {
+    fn fleet_adds_each_batch_delta() {
         let fleet = FleetAggregator::new();
         fleet.session_started(SessionMode::Fresh);
         let mut watch = WatchState::new(Some("steady".into()), Some(reference_like(STEADY)));
-        feed(&mut watch, 2, STEADY);
-        watch.fold_into(&fleet);
-        watch.fold_into(&fleet); // no growth: must be a no-op
+        fleet.add(&watch.observe_batch(&batch_of(2, STEADY)));
         let snap = fleet.snapshot(0);
         assert_eq!(snap.events, 2 * WATCH_WINDOW);
         assert_eq!(snap.sessions_active, 1);
         assert_eq!(snap.sessions_seen, 1);
         assert_eq!(snap.flagged_sessions, 0);
-        assert_eq!(
-            snap.bins.iter().map(|&(n, _)| n).sum::<u64>(),
-            2 * WATCH_WINDOW
-        );
+        assert_eq!(snap.bins, watch.session_stats(1).bins);
 
-        feed(&mut watch, 10, STORMY);
-        watch.fold_into(&fleet);
-        watch.fold_into(&fleet);
+        for _ in 0..10 {
+            fleet.add(&watch.observe_batch(&batch_of(1, STORMY)));
+        }
+        assert!(watch.drift_flagged());
         fleet.session_ended();
         let snap = fleet.snapshot(4);
-        assert_eq!(snap.events, 12 * WATCH_WINDOW);
+        let stats = watch.session_stats(1);
         assert_eq!(
-            snap.flagged_sessions, 1,
-            "a latched flag folds exactly once"
+            (snap.events, snap.mispredicts, snap.bins),
+            (stats.events, stats.mispredicts, stats.bins)
         );
+        assert_eq!(snap.flagged_sessions, 1, "a latch is counted once");
         assert_eq!(snap.sessions_active, 0);
         assert_eq!(snap.sessions_parked, 4);
+    }
+
+    #[test]
+    fn batch_deltas_sum_to_the_lifetime_counters_across_any_split() {
+        let outcomes = sweep(9 * WATCH_WINDOW + 300);
+        // Batch sizes: empty, single events, exact windows, a cut one
+        // short of a boundary, a batch spanning several windows, then
+        // pseudo-random sizes to the end.
+        let w = WATCH_WINDOW as usize;
+        let mut sizes = vec![1, 0, w - 1, w, 5, w - 5, 3 * w + 7, 1];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        while sizes.iter().sum::<usize>() < outcomes.len() {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            sizes.push((rng >> 33) as usize % (w + w / 2));
+        }
+        // Reload mid-window before the latch (the latch comes with the
+        // first scored window, at batch 5) and again after it.
+        let reload_after = [4, 7];
+
+        let mut watch = declared();
+        let mut sum = WatchDelta::default();
+        let mut latches = 0;
+        let mut at = 0;
+        for (k, &size) in sizes.iter().enumerate() {
+            let mut batch = OutcomeBatch::new();
+            for o in &outcomes[at..(at + size).min(outcomes.len())] {
+                batch.push(o);
+            }
+            at += batch.len();
+            let delta = watch.observe_batch(&batch);
+            assert_eq!(delta.counts.events(), batch.len() as u64);
+            sum.counts.absorb(&delta.counts);
+            sum.windows += delta.windows;
+            latches += delta.latched as u32;
+            if reload_after.contains(&k) {
+                let mut blob = Vec::new();
+                watch.save_state(&mut blob);
+                watch = WatchState::load_state(&mut blob.as_slice()).expect("own blob reloads");
+            }
+        }
+        assert_eq!(at, outcomes.len());
+
+        let stats = watch.session_stats(1);
+        assert!(stats.drift_flagged, "the sweep must latch the flag");
+        assert_eq!(stats.drift_window, WATCH_WARMUP_WINDOWS + 1);
+        assert_eq!(latches, 1, "the latch is reported exactly once");
+        assert_eq!(sum.counts.events(), stats.events);
+        assert_eq!(sum.counts.mispredicts(), stats.mispredicts);
+        assert_eq!(sum.windows, stats.windows);
+        assert_eq!(sum.counts.bins(), &stats.bins[..]);
     }
 
     #[test]
@@ -702,10 +747,8 @@ mod tests {
 
     #[test]
     fn load_state_restores_every_field_and_refuses_every_cut() {
-        let mut watch = WatchState::new(Some("steady".into()), Some(reference_like(STEADY)));
+        let mut watch = declared();
         feed(&mut watch, 8, STEADY);
-        let fleet = FleetAggregator::new();
-        watch.fold_into(&fleet);
         feed(&mut watch, 6, STORMY);
         watch.observe(&outcome(0.3, true)); // a partial window
         assert!(watch.drift_flagged());
@@ -719,17 +762,10 @@ mod tests {
         restored.save_state(&mut again);
         assert_eq!(again, blob);
         assert_eq!(restored.session_stats(7), watch.session_stats(7));
-        // The fold marks came along: both fold the same delta next.
-        feed(&mut restored, 1, STORMY);
-        feed(&mut watch, 1, STORMY);
-        let (a, b) = (FleetAggregator::new(), FleetAggregator::new());
-        restored.fold_into(&a);
-        watch.fold_into(&b);
-        let (a, b) = (a.snapshot(0), b.snapshot(0));
-        assert_eq!(
-            (a.events, a.flagged_sessions, a.bins),
-            (b.events, b.flagged_sessions, b.bins)
-        );
+        // The restored state carries on exactly like the original.
+        let more = batch_of(2, STORMY);
+        assert_eq!(restored.observe_batch(&more), watch.observe_batch(&more));
+        assert_eq!(restored.session_stats(7), watch.session_stats(7));
 
         for cut in 0..blob.len() {
             assert!(
@@ -738,6 +774,11 @@ mod tests {
                 blob.len()
             );
         }
+        // A family without a shipped reference profile cannot reload.
+        let mut synthetic = Vec::new();
+        WatchState::new(Some("steady".into()), Some(reference_like(STEADY)))
+            .save_state(&mut synthetic);
+        assert!(WatchState::load_state(&mut synthetic.as_slice()).is_none());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! The dropped fields are deliberate: dependency distances and memory
 //! addresses drive the *timing* simulator, and the online pipeline has
 //! no BTB or return-stack model to read a target — an [`EventBatch`] is
-//! a batch of *branch events*, not of full dynamic instructions.
-//! Round-tripping a `DynInstr` through a batch therefore zeroes `deps`,
-//! `mem` and `target`.
+//! a batch of *branch events*, not of full dynamic instructions, and
+//! it gives no `DynInstr` back: two instructions that differ only in
+//! `deps`, `mem` or `target` make equal batches.
 
 use crate::{ControlKind, DynInstr, InstrClass, Pc};
 
@@ -179,24 +179,6 @@ impl EventBatch {
             .zip(&self.taken)
             .map(|((&pc, &code), &taken)| (Pc::new(pc), classify(code), taken))
     }
-
-    /// Reconstructs event `i` as a [`DynInstr`] (with empty `deps`/`mem`
-    /// and target `Pc(0)`).
-    pub fn get(&self, i: usize) -> DynInstr {
-        DynInstr {
-            pc: self.pc(i),
-            class: self.class(i),
-            deps: [0, 0],
-            mem: None,
-            taken: self.taken[i],
-            target: Pc::new(0),
-        }
-    }
-
-    /// Iterates the batch as reconstructed [`DynInstr`]s.
-    pub fn iter(&self) -> impl Iterator<Item = DynInstr> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
 }
 
 impl From<&[DynInstr]> for EventBatch {
@@ -232,15 +214,22 @@ mod tests {
         let instrs = sample();
         let batch = EventBatch::from(instrs.as_slice());
         assert_eq!(batch.len(), instrs.len());
-        for (i, instr) in instrs.iter().enumerate() {
-            let back = batch.get(i);
-            assert_eq!(back.pc, instr.pc);
-            assert_eq!(back.class, instr.class);
-            assert_eq!(back.taken, instr.taken);
-            assert_eq!(back.target, Pc::new(0));
+        assert_eq!(batch.lanes().count(), instrs.len());
+        for (i, (instr, (pc, control, taken))) in instrs.iter().zip(batch.lanes()).enumerate() {
+            assert_eq!(pc, instr.pc);
+            assert_eq!(control, batch.control_at(i));
+            assert_eq!(taken, instr.taken);
+            assert_eq!(batch.class(i), instr.class);
         }
-        let collected: Vec<DynInstr> = batch.iter().collect();
-        assert_eq!(collected.len(), instrs.len());
+        // The target is not a batch field.
+        let retargeted: Vec<DynInstr> = instrs
+            .iter()
+            .map(|i| DynInstr {
+                target: Pc::new(0),
+                ..*i
+            })
+            .collect();
+        assert_eq!(EventBatch::from(retargeted.as_slice()), batch);
     }
 
     #[test]
@@ -264,9 +253,7 @@ mod tests {
             .with_mem(0xbeef);
         let mut batch = EventBatch::new();
         batch.push(&instr);
-        let back = batch.get(0);
-        assert_eq!(back.deps, [0, 0]);
-        assert_eq!(back.mem, None);
+        assert_eq!(batch, EventBatch::from(&[DynInstr::alu(Pc::new(0x40))][..]));
     }
 
     #[test]

@@ -126,3 +126,40 @@ fn family_declaration_is_validated() {
     client.bye().unwrap();
     server.stop();
 }
+
+/// The fleet half of STATS counts every answered batch of every live
+/// session: while session A, still connected, has streamed five EVENTS
+/// frames, session B's STATS already pools A's counters with its own.
+#[test]
+fn fleet_stats_count_every_answered_batch_of_live_sessions() {
+    let server = RunningServer::bind("127.0.0.1:0", 2).unwrap();
+    let config = OnlineConfig::default();
+    let base = find_entry("biased_bimodal").unwrap();
+    let events = corpus_control_events(&base.family, base.seed, 40_000).unwrap();
+
+    let mut a = Client::connect_declaring(server.addr(), &config, base.name).unwrap();
+    for chunk in events.chunks(512).take(5) {
+        a.send_events(chunk).unwrap();
+    }
+    let mut b = Client::connect(server.addr(), &config).unwrap();
+    for chunk in events.chunks(256).take(3) {
+        b.send_events(chunk).unwrap();
+    }
+    let seen_by_b = b.stats().unwrap();
+    let (fleet, sb) = (seen_by_b.fleet, seen_by_b.session);
+    let sa = a.stats().unwrap().session;
+
+    assert_eq!(sa.events, 5 * 512);
+    assert_eq!(fleet.events, sa.events + sb.events);
+    assert_eq!(fleet.mispredicts, sa.mispredicts + sb.mispredicts);
+    let pooled: Vec<(u64, u64)> = sa
+        .bins
+        .iter()
+        .zip(&sb.bins)
+        .map(|(x, y)| (x.0 + y.0, x.1 + y.1))
+        .collect();
+    assert_eq!(fleet.bins, pooled);
+    a.bye().unwrap();
+    b.bye().unwrap();
+    server.stop();
+}
