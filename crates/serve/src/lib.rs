@@ -11,8 +11,8 @@
 //!   runtime) — exposing every
 //!   [`EstimatorKind`](paco_sim::EstimatorKind) as a session-oriented
 //!   prediction service. Each session owns a private
-//!   [`OnlinePipeline`](paco_sim::OnlinePipeline) and routes to its
-//!   home shard by id hash; detached sessions park in a sharded table
+//!   [`OnlinePipeline`](paco_sim::OnlinePipeline) and stays on the
+//!   worker that accepted it; detached sessions park in a sharded table
 //!   for bit-identical resume, clients can carry opaque state snapshots
 //!   across reconnects (even across server restarts), and live sessions
 //!   migrate between shards — by operator `MIGRATE` frame or the

@@ -85,6 +85,9 @@ pub struct ServeMetrics {
     recorder: Arc<FlightRecorder>,
     /// TCP connections accepted.
     pub connections: Arc<Counter>,
+    /// Accepts that failed for a reason other than a retry (an
+    /// exhausted fd table, say).
+    pub accept_errors: Arc<Counter>,
     frames: [Arc<Counter>; 7],
     /// ERROR frames sent for protocol violations.
     pub protocol_errors: Arc<Counter>,
@@ -103,8 +106,8 @@ pub struct ServeMetrics {
     pub sessions_parked_bytes: Arc<Gauge>,
     /// Completed session migrations by trigger (`operator`, `policy`).
     migrations: [Arc<Counter>; 2],
-    /// Live connections per worker shard (the load signal the
-    /// auto-migration policy reads).
+    /// Live connections per worker shard (the load signal accept
+    /// balance and the auto-migration policy read).
     pub shard_connections: Vec<Arc<Gauge>>,
     /// The fleet-side handles (also held by the aggregator).
     pub fleet: FleetCounters,
@@ -178,6 +181,11 @@ impl ServeMetrics {
                 "TCP connections accepted.",
                 vec![],
             ),
+            accept_errors: registry.counter(
+                "paco_accept_errors_total",
+                "Failed accepts other than would-block, interrupted or aborted (an exhausted fd table, say); each keeps the listener out of that worker's waits for ~2 ms.",
+                vec![],
+            ),
             frames: [
                 frame("HELLO"),
                 frame("EVENTS"),
@@ -228,7 +236,7 @@ impl ServeMetrics {
                 .map(|shard| {
                     registry.gauge(
                         "paco_shard_connections",
-                        "Connections currently owned by each worker shard.",
+                        "Connections currently owned by each worker shard (accept balance and the load-threshold migration policy read these).",
                         vec![("shard", shard.to_string())],
                     )
                 })
@@ -296,6 +304,7 @@ mod tests {
         let names: Vec<&str> = families.iter().map(|f| f.name).collect();
         for expected in [
             "paco_connections_total",
+            "paco_accept_errors_total",
             "paco_frames_total",
             "paco_protocol_errors_total",
             "paco_batch_handle_ns",
@@ -315,7 +324,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing family {expected}");
         }
-        assert_eq!(names.len(), 17, "families drifted: {names:?}");
+        assert_eq!(names.len(), 18, "families drifted: {names:?}");
     }
 
     #[test]

@@ -2,35 +2,40 @@
 //!
 //! N pinned worker shards, each multiplexing its connections with a
 //! non-blocking readiness loop over plain `std::net` — a small
-//! hand-rolled reactor, no async runtime. A blocking accept thread
-//! hands fresh connections to workers round-robin; once the HELLO
-//! handshake assigns a session, the connection moves to the session's
-//! *home worker* (`session_id % workers`), so sessions route by id
-//! hash.
+//! hand-rolled reactor, no async runtime. There is no accept thread:
+//! every worker keeps its own handle on the non-blocking listening
+//! socket in its poll set and accepts one connection whenever `ppoll`
+//! reports it readable. The accepting worker keeps the connection
+//! unless a peer's `paco_shard_connections` gauge reads below its own
+//! connection count; then the raw, pre-handshake connection goes to the
+//! least-loaded peer. A session stays on the worker that ran its
+//! handshake, resumes included.
 //!
 //! Each worker sweep drains its inbox, flushes pending writes, drains
 //! readable bytes into a per-connection [`FrameDecoder`] and processes
 //! the complete frames — the hot path stays lock-free (the only lock
 //! is the inbox mutex at sweep start; each batch's watch delta reaches
 //! the fleet aggregator through relaxed atomics). A sweep that moves
-//! nothing ends in one `ppoll(2)` over the worker's own sockets plus
-//! its inbox's wake socket, so a waiting worker wakes the moment a
-//! socket or its inbox turns ready. For ~2 ms after its last progress a
-//! worker that owns connections caps each wait at 100 µs (`LINGER_TICK`
-//! says why); otherwise it blocks with no timeout, so an idle server
-//! uses no CPU. That call makes this module Linux-only.
+//! nothing ends in one `ppoll(2)` over the worker's own sockets, the
+//! listener and its inbox's wake socket, so a waiting worker wakes the
+//! moment a socket, a new connection or its inbox turns ready. For
+//! ~2 ms after its last progress a worker that owns connections caps
+//! each wait at 100 µs (`LINGER_TICK` says why); otherwise it blocks
+//! with no timeout, so an idle server uses no CPU. A worker whose
+//! sweeps keep making progress still polls once with a zero timeout
+//! every `LINGER_TICK`, so new connections are accepted while every
+//! worker is busy. That call makes this module Linux-only.
 //!
-//! **Live migration**: a session moves between workers the way the
-//! HELLO handoff moves it — the source worker sends the connection,
-//! live pipeline included, to the target's inbox. Nothing is copied or
-//! rebuilt, so the session's next outcome is the one it would have
-//! produced unmoved. Exposed two ways: the operator `MIGRATE` control
-//! frame, and an automatic load-threshold policy that sheds one session
-//! from a hot worker to the least-loaded one (read from the
-//! `paco_shard_connections` gauges). A [`FaultInjector`] seam lets the
-//! test harness stall a shard or sever a connection mid-migration;
-//! every fault must leave surviving sessions byte-identical to offline
-//! replay.
+//! **Live migration**: a session moves between workers by handing its
+//! connection, live pipeline included, to the target's inbox. Nothing
+//! is copied or rebuilt, so the session's next outcome is the one it
+//! would have produced unmoved. Exposed two ways: the operator
+//! `MIGRATE` control frame, and an automatic load-threshold policy that
+//! sheds one session from a hot worker to the least-loaded one (read
+//! from the `paco_shard_connections` gauges). A [`FaultInjector`] seam
+//! lets the test harness stall a shard or sever a connection
+//! mid-migration; every fault must leave surviving sessions
+//! byte-identical to offline replay.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -82,14 +87,15 @@ const WRITE_HIGH_WATER: usize = MAX_FRAME_BYTES + READ_CHUNK;
 /// at most per `ppoll`. Shorter than a hypervisor's typical
 /// halt-polling window (200 µs on KVM), so a vCPU serving a paced client
 /// is not descheduled between frames; on a 2-vCPU VM, waits with no
-/// timeout made a paced client's own sleeps wake up to 4 ms late.
-const LINGER_TICK: Timespec = Timespec {
-    tv_sec: 0,
-    tv_nsec: 100_000,
-};
+/// timeout made a paced client's own sleeps wake up to 4 ms late. Also
+/// the longest a worker whose every sweep makes progress goes without
+/// polling the listener.
+const LINGER_TICK: Duration = Duration::from_micros(100);
 
 /// Empty waits of at most [`LINGER_TICK`] after the last progress
-/// (~2 ms); after that the worker blocks until something is ready.
+/// (~2 ms); after that the worker blocks until something is ready. A
+/// failed accept keeps the listener out of the worker's waits for as
+/// long.
 const LINGER_TICKS: u32 = 20;
 
 /// `struct pollfd` from `<poll.h>`.
@@ -124,8 +130,14 @@ extern "C" {
 /// Waits until some entry of `fds` is ready or `timeout` passes (`None`:
 /// no timeout), filling in `revents`. A timeout or an error (`EINTR`
 /// included) leaves every `revents` zero; the caller re-sweeps either way.
-fn wait_ready(fds: &mut [PollFd], timeout: Option<&Timespec>) {
-    let timeout = timeout.map_or(std::ptr::null(), |t| t as *const Timespec);
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    let timeout = timeout.map(|t| Timespec {
+        tv_sec: t.as_secs() as c_long,
+        tv_nsec: t.subsec_nanos() as c_long,
+    });
+    let timeout = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
     // SAFETY: `fds` is an exclusively borrowed, initialized slice of
     // `#[repr(C)]` pollfd records and `nfds` is its length, so ppoll
     // reads and writes (only `revents`) within the slice; the timeout
@@ -219,10 +231,10 @@ impl FaultInjector {
 
 /// A message into a worker's inbox.
 enum ShardMsg {
-    /// A freshly accepted, pre-handshake connection.
+    /// A freshly accepted, pre-handshake connection that its accepting
+    /// worker passed on for balance.
     Conn(TcpStream, u64),
-    /// An established connection moving to another worker: to its
-    /// session's home after the handshake, or as a migration.
+    /// An established connection migrating to another worker.
     Adopt(Box<Conn>),
 }
 
@@ -263,8 +275,9 @@ impl Inbox {
     }
 }
 
-/// State shared by the accept thread, every worker, and the
-/// [`RunningServer`] handle.
+/// State shared by every worker and the [`RunningServer`] handle. The
+/// listener is not here: each worker owns its own handle on it, so the
+/// port closes when the last worker exits, whoever still holds this.
 struct Shared {
     shutdown: AtomicBool,
     next_conn: AtomicU64,
@@ -457,7 +470,6 @@ impl Scratch {
 enum Sweep {
     Keep { active: bool },
     Close,
-    Handoff { target: usize },
     Migrate { target: usize, operator: bool },
 }
 
@@ -466,14 +478,16 @@ enum Flow {
     Continue,
     Refuse(ErrorCode, String),
     Bye,
-    Handoff(usize),
     Migrate { target: usize, operator: bool },
 }
 
-/// One pinned worker shard: an event loop over the connections it owns.
+/// One pinned worker shard: an event loop over the connections it owns
+/// and the ones it accepts.
 struct Worker {
     index: usize,
     shared: Arc<Shared>,
+    /// This worker's handle on the non-blocking listening socket.
+    listener: TcpListener,
 }
 
 impl Worker {
@@ -484,6 +498,9 @@ impl Worker {
         let mut ids: Vec<u64> = Vec::new();
         let mut fds: Vec<PollFd> = Vec::new();
         let mut quiet = LINGER_TICKS;
+        let mut last_wait = Instant::now();
+        // After a failed accept: when the listener rejoins the waits.
+        let mut accept_paused: Option<Instant> = None;
         loop {
             if let Some(wait) = self.shared.faults.take_stall(self.index) {
                 thread::sleep(wait);
@@ -520,11 +537,6 @@ impl Worker {
                         self.close_conn(conn);
                         active = true;
                     }
-                    Sweep::Handoff { target } => {
-                        let conn = conns.remove(&id).expect("conn vanished mid-sweep");
-                        self.shared.send(target, ShardMsg::Adopt(Box::new(conn)));
-                        active = true;
-                    }
                     Sweep::Migrate { target, operator } => {
                         let conn = conns.remove(&id).expect("conn vanished mid-sweep");
                         self.start_migration(conn, target, operator);
@@ -534,25 +546,59 @@ impl Worker {
             }
             active |= self.try_policy_migration(&mut conns);
             self.shared.metrics.shard_connections[self.index].set(conns.len() as f64);
-            if active {
+            let mut timeout = if active {
                 quiet = 0;
+                // A busy worker still looks at the listener once per
+                // tick, without waiting.
+                if last_wait.elapsed() < LINGER_TICK {
+                    continue;
+                }
+                Some(Duration::ZERO)
             } else {
-                let timeout = (quiet < LINGER_TICKS && !conns.is_empty()).then_some(&LINGER_TICK);
+                let timeout = (quiet < LINGER_TICKS && !conns.is_empty()).then_some(LINGER_TICK);
                 quiet = quiet.saturating_add(1);
-                self.wait(&conns, &mut fds, timeout);
+                timeout
+            };
+            let paused = accept_paused.map_or(Duration::ZERO, |until| {
+                until.saturating_duration_since(Instant::now())
+            });
+            if !paused.is_zero() {
+                timeout = Some(timeout.map_or(paused, |t| t.min(paused)));
+            }
+            let acceptable = self.wait(&conns, &mut fds, paused.is_zero(), timeout);
+            last_wait = Instant::now();
+            if acceptable && !self.accept(&mut conns) {
+                accept_paused = Some(last_wait + LINGER_TICK * LINGER_TICKS);
             }
         }
     }
 
-    /// Waits until the inbox or one of the worker's connections is ready
-    /// (or `timeout` passes). The fd array is rebuilt from `conns` on
-    /// every wait, so a connection that arrives or leaves through the
-    /// inbox needs no registration.
-    fn wait(&self, conns: &HashMap<u64, Conn>, fds: &mut Vec<PollFd>, timeout: Option<&Timespec>) {
+    /// Waits until the inbox, the listener (if `listen`) or one of the
+    /// worker's connections is ready (or `timeout` passes), and says
+    /// whether the listener polled readable. The fd array is rebuilt
+    /// from `conns` on every wait, so a connection that arrives or
+    /// leaves needs no registration.
+    fn wait(
+        &self,
+        conns: &HashMap<u64, Conn>,
+        fds: &mut Vec<PollFd>,
+        listen: bool,
+        timeout: Option<Duration>,
+    ) -> bool {
         let inbox = &self.shared.inboxes[self.index];
         fds.clear();
         fds.push(PollFd {
             fd: inbox.wake_rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        // A negative fd is skipped by `ppoll`.
+        fds.push(PollFd {
+            fd: if listen {
+                self.listener.as_raw_fd()
+            } else {
+                -1
+            },
             events: POLLIN,
             revents: 0,
         });
@@ -565,6 +611,48 @@ impl Worker {
         if fds[0].revents != 0 {
             inbox.drain_wakeups();
         }
+        fds[1].revents != 0
+    }
+
+    /// Accepts one connection from the listener. The worker keeps it
+    /// unless a peer's gauge reads below its own connection count; then
+    /// the least-loaded peer gets it before the handshake. `false` on a
+    /// failed accept (an exhausted fd table, say): the caller leaves
+    /// the listener out of its waits for a while, since the connection
+    /// stays queued and would make every wait return at once.
+    fn accept(&self, conns: &mut HashMap<u64, Conn>) -> bool {
+        let shared = &self.shared;
+        let stream = match self.listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                return true;
+            }
+            Err(_) => {
+                shared.metrics.accept_errors.inc();
+                return false;
+            }
+        };
+        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.connections.inc();
+        shared
+            .metrics
+            .recorder()
+            .record(FlightKind::ConnOpen, conn_id, 0);
+        let msg = ShardMsg::Conn(stream, conn_id);
+        let target = self.least_loaded_other();
+        if target != self.index
+            && shared.metrics.shard_connections[target].value() < conns.len() as f64
+        {
+            shared.send(target, msg);
+        } else {
+            self.admit(conns, msg);
+        }
+        true
     }
 
     fn admit(&self, conns: &mut HashMap<u64, Conn>, msg: ShardMsg) {
@@ -650,7 +738,6 @@ impl Worker {
                             conn.closing = true;
                             break;
                         }
-                        Flow::Handoff(target) => return Sweep::Handoff { target },
                         Flow::Migrate { target, operator } => {
                             return Sweep::Migrate { target, operator }
                         }
@@ -699,8 +786,7 @@ impl Worker {
     }
 
     /// The first frame must be a valid HELLO; a good one establishes
-    /// the session and (usually) hands the connection to its home
-    /// worker.
+    /// the session on this worker.
     fn on_handshake_frame(&self, conn: &mut Conn, frame: Frame) -> Flow {
         if frame.kind != FrameKind::Hello {
             return Flow::Refuse(
@@ -736,13 +822,8 @@ impl Worker {
             events: session.pipeline.events(),
         };
         encode_frame_into(&mut conn.out, FrameKind::Welcome, &encode_welcome(&welcome));
-        let home = (session.id % self.shared.workers as u64) as usize;
         conn.session = Some(session);
-        if home == self.index {
-            Flow::Continue
-        } else {
-            Flow::Handoff(home)
-        }
+        Flow::Continue
     }
 
     fn on_session_frame(&self, conn: &mut Conn, frame: Frame, scratch: &mut Scratch) -> Flow {
@@ -971,39 +1052,13 @@ impl Worker {
     }
 }
 
-/// The blocking accept loop: counts and stamps each connection, then
-/// deals it to a worker round-robin (session-id routing takes over
-/// after the handshake).
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            // Transient accept errors (aborted handshakes etc.); keep
-            // serving.
-            continue;
-        };
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.connections.inc();
-        shared
-            .metrics
-            .recorder()
-            .record(FlightKind::ConnOpen, conn_id, 0);
-        shared.send(next % shared.workers, ShardMsg::Conn(stream, conn_id));
-        next = next.wrapping_add(1);
-    }
-}
-
-/// A server running on background threads (one accept loop, N worker
-/// shards). Dropping it (or calling [`stop`](Self::stop)) shuts the
-/// listener and every worker down and joins all threads.
+/// A server running on background threads, one per worker shard.
+/// Dropping it (or calling [`stop`](Self::stop)) shuts every worker
+/// down and joins them; the listener closes with the last one.
 #[derive(Debug)]
 pub struct RunningServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<thread::JoinHandle<()>>,
     worker_threads: Vec<thread::JoinHandle<()>>,
 }
 
@@ -1027,6 +1082,7 @@ impl RunningServer {
         options: ServeOptions,
     ) -> std::io::Result<RunningServer> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = options.shards.max(1);
         let metrics = Arc::new(ServeMetrics::with_shards(workers));
@@ -1046,28 +1102,26 @@ impl RunningServer {
                 .map(|_| Inbox::new())
                 .collect::<std::io::Result<_>>()?,
         });
-        let mut worker_threads = Vec::with_capacity(workers);
+        // Built before the workers start, so an error part-way drops it
+        // and stops the workers already running.
+        let mut server = RunningServer {
+            addr,
+            shared,
+            worker_threads: Vec::with_capacity(workers),
+        };
         for index in 0..workers {
             let worker = Worker {
                 index,
-                shared: Arc::clone(&shared),
+                shared: Arc::clone(&server.shared),
+                listener: listener.try_clone()?,
             };
-            worker_threads.push(
+            server.worker_threads.push(
                 thread::Builder::new()
                     .name(format!("paco-shard-{index}"))
                     .spawn(move || worker.run())?,
             );
         }
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = thread::Builder::new()
-            .name("paco-served-accept".into())
-            .spawn(move || accept_loop(listener, &accept_shared))?;
-        Ok(RunningServer {
-            addr,
-            shared,
-            accept_thread: Some(accept_thread),
-            worker_threads,
-        })
+        Ok(server)
     }
 
     /// The bound address.
@@ -1107,13 +1161,7 @@ impl RunningServer {
     }
 
     fn stop_inner(&mut self) {
-        let Some(accept) = self.accept_thread.take() else {
-            return;
-        };
         self.shared.shut_down();
-        // Unblock the accept loop: it re-checks the flag per connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = accept.join();
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
@@ -1122,17 +1170,12 @@ impl RunningServer {
         self.shared.drain_leftovers();
     }
 
-    /// Blocks until the accept loop exits (for the foreground binary);
-    /// the loop only exits via [`stop`](Self::stop) or process signals.
+    /// Blocks until the workers exit (for the foreground binary); they
+    /// only exit via [`stop`](Self::stop) or process signals.
     pub fn join(mut self) {
-        if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
-        }
-        self.shared.shut_down();
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
-        self.shared.drain_leftovers();
     }
 }
 

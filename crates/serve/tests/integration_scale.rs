@@ -27,6 +27,8 @@ use paco_serve::{
 use paco_sim::{EstimatorKind, OnlineConfig};
 use paco_types::DynInstr;
 
+mod common;
+
 fn pool(instrs: u64) -> Vec<DynInstr> {
     let entry = paco_corpus::find_entry("biased_bimodal").expect("corpus family");
     corpus_control_events(&entry.family, entry.seed, instrs).expect("synthesize pool")
@@ -201,9 +203,9 @@ fn shard_stall_delays_but_preserves_parity() {
     let config = OnlineConfig::tiny(EstimatorKind::StaticMrt);
     let events = pool(12_000);
     let mut client = Client::connect(server.addr(), &config).expect("connect");
-    let home = (client.session_id() % 2) as usize;
+    let shard = common::sole_conn_shard(&server);
     client.send_events(&events[..256]).expect("pre-stall batch");
-    server.faults().stall_shard(home, 40);
+    server.faults().stall_shard(shard, 40);
     let stalled = std::time::Instant::now();
     client
         .send_events(&events[256..512])

@@ -18,6 +18,8 @@ use paco_sim::{EstimatorKind, OnlineConfig, OnlineOutcome, OnlinePipeline};
 use paco_types::{ControlKind, DynInstr, EventBatch, InstrClass, Pc};
 use proptest::prelude::*;
 
+mod common;
+
 fn kind_from(seed: u8) -> FrameKind {
     match seed % 11 {
         0 => FrameKind::Hello,
@@ -537,8 +539,8 @@ fn resume_retrying(addr: std::net::SocketAddr, config: &OnlineConfig, session_id
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Operator MIGRATE mid-stream: the live session leaves its home
-    /// shard for an explicit target, with the cut landing anywhere —
+    /// Operator MIGRATE mid-stream: the live session leaves the shard
+    /// that accepted it for an explicit target, with the cut landing anywhere —
     /// including mid-batch and mid-watch-window — and the prediction
     /// bytes never waver, whichever estimator is inside.
     #[test]
@@ -552,13 +554,16 @@ proptest! {
         let batch = 1 + (batch_seed as usize % 48);
         for kind in all_estimator_kinds() {
             let config = OnlineConfig::tiny(kind);
+            // The previous kind's connection must be gone from the
+            // gauges before they can name this one's shard.
+            common::shard_loads(&server, 0);
             let mut client = Client::connect(server.addr(), &config).expect("connect");
-            let home = (client.session_id() % 3) as u32;
-            let target = (home + 1) % 3;
+            let from = common::sole_conn_shard(&server) as u32;
+            let target = (from + 1) % 3;
             stream_chunks(&mut client, &events[..cut], batch);
             let ack = client.migrate(Some(target)).expect("migrate");
             prop_assert_eq!(ack.session_id, client.session_id());
-            prop_assert_eq!(ack.from_shard, home);
+            prop_assert_eq!(ack.from_shard, from);
             prop_assert_eq!(ack.to_shard, target);
             stream_chunks(&mut client, &events[cut..], batch);
             prop_assert_eq!(
@@ -572,7 +577,7 @@ proptest! {
     }
 
     /// The full churn step: drop without BYE at an arbitrary cut (the
-    /// session parks on shard A), resume by id, migrate to shard B,
+    /// session parks), resume by id, migrate to another shard,
     /// finish the stream — one digest spans the whole life and still
     /// matches offline replay for every estimator kind.
     #[test]
@@ -590,13 +595,16 @@ proptest! {
             let session_id = client.session_id();
             stream_chunks(&mut client, &events[..cut], batch);
             let carried = client.digest();
-            drop(client); // no BYE: parks on the home shard
+            drop(client); // no BYE: parks in the shared table
+            common::shard_loads(&server, 0);
 
             let mut client = resume_retrying(server.addr(), &config, session_id);
             client.seed_digest(carried);
             prop_assert_eq!(client.resumed_events(), cut as u64);
-            let target = ((session_id % 3) as u32 + 2) % 3;
+            let from = common::sole_conn_shard(&server) as u32;
+            let target = (from + 1 + (session_id % 2) as u32) % 3;
             let ack = client.migrate(Some(target)).expect("migrate");
+            prop_assert_eq!(ack.from_shard, from);
             prop_assert_eq!(ack.to_shard, target);
             stream_chunks(&mut client, &events[cut..], batch);
             prop_assert_eq!(

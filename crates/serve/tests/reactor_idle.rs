@@ -48,7 +48,7 @@ fn idle_shards_sleep_until_ready_and_stop_promptly() {
     let events = corpus_control_events(&entry.family, entry.seed, 4_000).expect("events");
     let mut a = Client::connect(server.addr(), &config).expect("connect a");
     let b = Client::connect(server.addr(), &config).expect("connect b");
-    // Let the handshake handoffs to the home shards settle.
+    // Let the accept-balance pass settle: one connection per shard.
     std::thread::sleep(Duration::from_millis(50));
 
     let (threads, before) = shard_switches();
