@@ -52,6 +52,12 @@ impl BimodalPredictor {
         self.table.len()
     }
 
+    /// The counters, for [`TournamentLane`](crate::TournamentLane).
+    #[inline]
+    pub(crate) fn counters_mut(&mut self) -> &mut [u8] {
+        self.table.values_mut()
+    }
+
     #[inline]
     fn index(&self, pc_hash: u64) -> usize {
         (pc_hash & self.mask) as usize

@@ -12,6 +12,7 @@
 //! *stratifier*: branches are bucketed by MDC value and a correct-prediction
 //! probability is measured per bucket.
 
+use crate::counter::slot;
 use crate::CounterTable;
 use paco_types::canon::Canon;
 use paco_types::Pc;
@@ -42,9 +43,20 @@ impl Mdc {
     /// # Panics
     ///
     /// Panics if `value` exceeds 15.
+    #[inline]
     pub fn new(value: u8) -> Self {
         assert!(value < Self::BUCKETS as u8, "MDC value must be 0..=15");
         Mdc(value)
+    }
+
+    /// A counter value as an MDC, saturating at [`Mdc::MAX`].
+    #[inline]
+    const fn saturating(value: u8) -> Self {
+        Mdc(if value > Self::MAX.0 {
+            Self::MAX.0
+        } else {
+            value
+        })
     }
 
     /// The raw counter value.
@@ -83,7 +95,7 @@ impl std::fmt::Display for Mdc {
 /// records of branches that never touch the table (non-conditional
 /// control flow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MdcIndex(usize);
+pub struct MdcIndex(u32);
 
 /// Configuration for an [`MdcTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,12 +191,16 @@ impl MdcTable {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power of two or the counter width is
-    /// outside `1..=8`.
+    /// Panics if `entries` is not a power of two at most 2^32 or the
+    /// counter width is outside `1..=8`.
     pub fn new(config: ConfidenceConfig) -> Self {
         assert!(
             config.entries.is_power_of_two(),
             "table size must be a power of two"
+        );
+        assert!(
+            config.entries as u64 <= 1 << 32,
+            "an MDC index must fit 32 bits"
         );
         let history_mask = if config.history_bits == 64 {
             u64::MAX
@@ -209,45 +225,33 @@ impl MdcTable {
     }
 
     /// [`index`](Self::index) with the PC hash ([`Pc::table_hash`])
-    /// precomputed — the batched hot path hashes each event's PC once
-    /// and feeds every table from it. [`index`](Self::index) delegates
-    /// here, so the two spellings cannot drift.
+    /// precomputed.
     #[inline]
-    pub fn index_hashed(&self, pc_hash: u64, history: u64, predicted_taken: bool) -> MdcIndex {
+    fn index_hashed(&self, pc_hash: u64, history: u64, predicted_taken: bool) -> MdcIndex {
         let mut h = pc_hash ^ (history & self.history_mask);
         if self.enhanced {
             // Grunwald et al.: include the predicted direction in the hash.
             h ^= (predicted_taken as u64) << 5;
         }
-        MdcIndex((h & self.mask) as usize)
+        MdcIndex((h & self.mask) as u32)
     }
 
-    /// Reads the MDC at a previously computed index.
+    /// Reads the MDC at a previously computed index. A counter wider
+    /// than 4 bits reads as at most [`Mdc::MAX`]: the MDC strata are the
+    /// 16 values of the paper's 4-bit counter, so a longer run of
+    /// correct predictions lands in the top stratum.
     #[inline]
     pub fn read(&self, idx: MdcIndex) -> Mdc {
-        Mdc(self.counters.value(idx.0))
+        Mdc::saturating(self.counters.value(idx.0 as usize))
     }
 
     /// The fused fetch-time operation — [`index`](Self::index) +
-    /// [`read`](Self::read) in one call, hashing once. This is the MDC
-    /// lane of the batched confidence hot path; it is defined as exactly
-    /// the two-step sequence, so both spellings are interchangeable.
+    /// [`read`](Self::read) in one call, hashing once; defined as
+    /// exactly the two-step sequence, so both spellings are
+    /// interchangeable.
     #[inline]
     pub fn fetch(&self, pc: Pc, history: u64, predicted_taken: bool) -> (MdcIndex, Mdc) {
         let idx = self.index(pc, history, predicted_taken);
-        (idx, self.read(idx))
-    }
-
-    /// [`fetch`](Self::fetch) with the PC hash precomputed (see
-    /// [`index_hashed`](Self::index_hashed)).
-    #[inline]
-    pub fn fetch_hashed(
-        &self,
-        pc_hash: u64,
-        history: u64,
-        predicted_taken: bool,
-    ) -> (MdcIndex, Mdc) {
-        let idx = self.index_hashed(pc_hash, history, predicted_taken);
         (idx, self.read(idx))
     }
 
@@ -256,15 +260,32 @@ impl MdcTable {
     #[inline]
     pub fn update(&mut self, idx: MdcIndex, correct: bool) {
         if correct {
-            self.counters.increment(idx.0);
+            self.counters.increment(idx.0 as usize);
         } else {
-            self.counters.reset(idx.0);
+            self.counters.reset(idx.0 as usize);
         }
     }
 
     /// Number of table entries.
     pub fn entries(&self) -> usize {
         self.counters.len()
+    }
+
+    /// The table as an [`MdcLane`]: the batched hot loop's view, with
+    /// the counters, masks and counter bound hoisted out of the loop.
+    #[inline]
+    pub fn lane(&mut self) -> MdcLane<'_> {
+        let max = self.counters.max();
+        let lane = MdcLane {
+            counters: self.counters.values_mut(),
+            history_mask: self.history_mask,
+            enhanced_bit: if self.enhanced { 1 << 5 } else { 0 },
+            max,
+        };
+        // A non-empty table lets the compiler see every masked index in
+        // bounds.
+        assert!(!lane.counters.is_empty());
+        lane
     }
 
     /// Appends the table's counter state (for session snapshots).
@@ -285,9 +306,81 @@ impl MdcTable {
     }
 }
 
+/// An [`MdcTable`] borrowed for a batch of events: the same fetch and
+/// update as the table's own [`fetch`](MdcTable::fetch) and
+/// [`update`](MdcTable::update), keyed by the PC hash
+/// ([`Pc::table_hash`]) the caller computes once per event. The
+/// counters are a plain slice whose power-of-two length is the index
+/// mask, so every access is in bounds by construction.
+#[derive(Debug)]
+pub struct MdcLane<'a> {
+    counters: &'a mut [u8],
+    history_mask: u64,
+    /// The enhanced configuration's predicted-direction bit (0 when
+    /// classic).
+    enhanced_bit: u64,
+    max: u8,
+}
+
+impl MdcLane<'_> {
+    /// The index and current MDC of the branch whose PC hashes to
+    /// `pc_hash`, fetched under `history` with `predicted_taken`.
+    #[inline]
+    pub fn fetch(&mut self, pc_hash: u64, history: u64, predicted_taken: bool) -> (MdcIndex, Mdc) {
+        let key = pc_hash
+            ^ (history & self.history_mask)
+            ^ ((predicted_taken as u64) << 5 & self.enhanced_bit);
+        let idx = key as usize & (self.counters.len() - 1);
+        (MdcIndex(idx as u32), Mdc::saturating(self.counters[idx]))
+    }
+
+    /// The resolution-time update: increment on a correct prediction,
+    /// reset on a mispredict.
+    #[inline]
+    pub fn update(&mut self, idx: MdcIndex, correct: bool) {
+        let v = slot(self.counters, idx.0 as u64);
+        *v = if correct {
+            *v + (*v < self.max) as u8
+        } else {
+            0
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_matches_the_table() {
+        for (counter_bits, history_bits, enhanced) in [(1, 0, true), (4, 8, true), (8, 64, false)] {
+            let config = ConfidenceConfig {
+                entries: 1 << 5,
+                counter_bits,
+                history_bits,
+                enhanced,
+            };
+            let mut plain = MdcTable::new(config);
+            let mut laned = MdcTable::new(config);
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for _ in 0..4000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = Pc::new(0x1000 + (x % 61) * 4);
+                let (history, predicted, correct) = (x.rotate_left(9), x & 1 == 1, x % 5 != 0);
+                let (idx, mdc) = plain.fetch(pc, history, predicted);
+                let mut lane = laned.lane();
+                assert_eq!(lane.fetch(pc.table_hash(), history, predicted), (idx, mdc));
+                lane.update(idx, correct);
+                plain.update(idx, correct);
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            plain.save_state(&mut a);
+            laned.save_state(&mut b);
+            assert_eq!(a, b, "{config:?}");
+        }
+    }
 
     #[test]
     fn mdc_counts_consecutive_correct_predictions() {
@@ -299,6 +392,24 @@ mod tests {
         }
         t.update(idx, false);
         assert_eq!(t.read(idx).value(), 0);
+    }
+
+    #[test]
+    fn wide_counters_read_in_the_mdc_range() {
+        // An 8-bit counter counts past 15; its MDC stays a valid bucket.
+        let mut t = MdcTable::new(ConfidenceConfig {
+            counter_bits: 8,
+            ..ConfidenceConfig::tiny()
+        });
+        let idx = t.index(Pc::new(0x40), 0, true);
+        for _ in 0..40 {
+            t.update(idx, true);
+        }
+        assert_eq!(t.read(idx), Mdc::MAX);
+        assert_eq!(
+            t.lane().fetch(Pc::new(0x40).table_hash(), 0, true).1,
+            Mdc::MAX
+        );
     }
 
     #[test]

@@ -69,6 +69,13 @@ impl CounterTable {
         8 - self.max.leading_zeros()
     }
 
+    /// The counters themselves, for the batched lanes' hoisted table
+    /// views (`TournamentLane`, `MdcLane`).
+    #[inline]
+    pub(crate) fn values_mut(&mut self) -> &mut [u8] {
+        &mut self.values
+    }
+
     /// Counter `idx`'s current value.
     #[inline]
     pub fn value(&self, idx: usize) -> u8 {
@@ -180,6 +187,15 @@ impl CounterTable {
         *input = rest;
         true
     }
+}
+
+/// `table[key mod len]` for a power-of-two-long table: the masked
+/// index is in bounds by construction, so the batched lanes' accesses
+/// carry no bounds check once the table is known to be non-empty.
+#[inline]
+pub(crate) fn slot(table: &mut [u8], key: u64) -> &mut u8 {
+    let mask = table.len() - 1;
+    &mut table[key as usize & mask]
 }
 
 /// `pattern` repeated in every `lane`-bit lane of a word.

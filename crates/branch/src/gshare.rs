@@ -66,6 +66,12 @@ impl GsharePredictor {
         self.history_bits
     }
 
+    /// The counters, for [`TournamentLane`](crate::TournamentLane).
+    #[inline]
+    pub(crate) fn counters_mut(&mut self) -> &mut [u8] {
+        self.table.values_mut()
+    }
+
     #[inline]
     fn index(&self, pc_hash: u64, history: u64) -> usize {
         let hist_mask = if self.history_bits == 64 {

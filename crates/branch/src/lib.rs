@@ -48,12 +48,12 @@ mod tournament;
 
 pub use bimodal::BimodalPredictor;
 pub use btb::{Btb, BtbConfig};
-pub use confidence::{ConfidenceConfig, Mdc, MdcIndex, MdcTable};
+pub use confidence::{ConfidenceConfig, Mdc, MdcIndex, MdcLane, MdcTable};
 pub use counter::CounterTable;
 pub use gshare::GsharePredictor;
 pub use indirect::IndirectPredictor;
 pub use ras::ReturnAddressStack;
-pub use tournament::{TournamentConfig, TournamentPredictor};
+pub use tournament::{TournamentConfig, TournamentLane, TournamentPredictor};
 
 use paco_types::Pc;
 

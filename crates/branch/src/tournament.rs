@@ -1,5 +1,6 @@
 //! The paper's tournament (hybrid) predictor: gshare + bimodal + selector.
 
+use crate::counter::slot;
 use crate::{BimodalPredictor, CounterTable, DirectionPredictor, GsharePredictor};
 use paco_types::canon::Canon;
 use paco_types::Pc;
@@ -124,13 +125,10 @@ impl TournamentPredictor {
         ((pc_hash ^ (history & hist_mask)) & self.selector_mask) as usize
     }
 
-    /// [`predict`](DirectionPredictor::predict) with the PC hash
-    /// ([`Pc::table_hash`]) precomputed — the batched hot path hashes
-    /// each event's PC once and feeds all three component tables from
-    /// it. The plain trait methods delegate here, so the two spellings
-    /// cannot drift.
+    /// Prediction with the PC hash ([`Pc::table_hash`]) precomputed;
+    /// the plain trait methods delegate here.
     #[inline]
-    pub fn predict_hashed(&self, pc_hash: u64, history: u64) -> bool {
+    fn predict_hashed(&self, pc_hash: u64, history: u64) -> bool {
         let g = self.gshare.predict_hashed(pc_hash, history);
         let b = self.bimodal.predict_hashed(pc_hash);
         if self.selector.msb(self.selector_index(pc_hash, history)) {
@@ -140,8 +138,8 @@ impl TournamentPredictor {
         }
     }
 
-    /// [`update`](DirectionPredictor::update) with the PC hash
-    /// precomputed (see [`predict_hashed`](Self::predict_hashed)).
+    /// Update with the PC hash precomputed (see
+    /// [`predict_hashed`](Self::predict_hashed)).
     ///
     /// Each component entry is touched once via the fused
     /// `train_hashed` ops: the pre-update component predictions train
@@ -150,7 +148,7 @@ impl TournamentPredictor {
     /// sees), then the components absorb the outcome — the same final
     /// state as the read-then-update spelling, entry for entry.
     #[inline]
-    pub fn update_hashed(&mut self, pc_hash: u64, history: u64, taken: bool) {
+    fn update_hashed(&mut self, pc_hash: u64, history: u64, taken: bool) {
         let g = self.gshare.train_hashed(pc_hash, history, taken);
         let b = self.bimodal.train_hashed(pc_hash, taken);
         // Train the chooser only on disagreement.
@@ -162,6 +160,28 @@ impl TournamentPredictor {
                 self.selector.decrement(idx);
             }
         }
+    }
+
+    /// The predictor as a [`TournamentLane`]: the batched hot loop's
+    /// view, with the three tables and their masks hoisted out of the
+    /// loop.
+    #[inline]
+    pub fn lane(&mut self) -> TournamentLane<'_> {
+        let hist_mask = if self.history_bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << self.history_bits) - 1
+        };
+        let lane = TournamentLane {
+            gshare: self.gshare.counters_mut(),
+            bimodal: self.bimodal.counters_mut(),
+            selector: self.selector.values_mut(),
+            hist_mask,
+        };
+        // Non-empty tables let the compiler see every masked index in
+        // bounds.
+        assert!(!lane.gshare.is_empty() && !lane.bimodal.is_empty() && !lane.selector.is_empty());
+        lane
     }
 
     /// The two component predictions `(gshare, bimodal)` for inspection.
@@ -187,6 +207,75 @@ impl TournamentPredictor {
         self.gshare.load_state(input)
             && self.bimodal.load_state(input)
             && self.selector.load_state(input)
+    }
+}
+
+/// A [`TournamentPredictor`] borrowed for a batch of events: the same
+/// prediction and training as the predictor's own
+/// [`predict`](DirectionPredictor::predict) and
+/// [`update`](DirectionPredictor::update), keyed by the PC hash
+/// ([`Pc::table_hash`]) the caller computes once per event.
+///
+/// The three tables are plain slices whose power-of-two lengths are the
+/// index masks, so every access is in bounds by construction, and the
+/// components' 2-bit counter bounds are constants. The unit tests drive
+/// both spellings through one stream and require equal predictions and
+/// equal tables.
+#[derive(Debug)]
+pub struct TournamentLane<'a> {
+    gshare: &'a mut [u8],
+    bimodal: &'a mut [u8],
+    selector: &'a mut [u8],
+    hist_mask: u64,
+}
+
+/// The 2-bit counter's "predict taken" test (`msb`: above 1).
+#[inline]
+fn taken2(v: u8) -> bool {
+    v > 1
+}
+
+/// The 2-bit counter's saturating step toward `up`.
+#[inline]
+fn step2(v: u8, up: bool) -> u8 {
+    if up {
+        v + (v < 3) as u8
+    } else {
+        v - (v > 0) as u8
+    }
+}
+
+impl TournamentLane<'_> {
+    /// The predicted direction of the branch whose PC hashes to
+    /// `pc_hash` under `history`.
+    #[inline]
+    pub fn predict(&mut self, pc_hash: u64, history: u64) -> bool {
+        let key = pc_hash ^ (history & self.hist_mask);
+        let g = taken2(*slot(self.gshare, key));
+        let b = taken2(*slot(self.bimodal, pc_hash));
+        if taken2(*slot(self.selector, key)) {
+            g
+        } else {
+            b
+        }
+    }
+
+    /// Trains on the resolved outcome: both components step toward
+    /// `taken`, and the chooser toward the component that was right
+    /// when they disagreed.
+    #[inline]
+    pub fn train(&mut self, pc_hash: u64, history: u64, taken: bool) {
+        let key = pc_hash ^ (history & self.hist_mask);
+        let g = slot(self.gshare, key);
+        let g_taken = taken2(*g);
+        *g = step2(*g, taken);
+        let b = slot(self.bimodal, pc_hash);
+        let b_taken = taken2(*b);
+        *b = step2(*b, taken);
+        if g_taken != b_taken {
+            let s = slot(self.selector, key);
+            *s = step2(*s, g_taken == taken);
+        }
     }
 }
 
@@ -289,6 +378,40 @@ mod tests {
         // Truncation fails too.
         let mut small = TournamentPredictor::new(TournamentConfig::tiny());
         assert!(!small.load_state(&mut &blob[..blob.len() / 2]));
+    }
+
+    #[test]
+    fn lane_matches_the_plain_predictor() {
+        // Small tables and a drifting PC set force aliasing, so every
+        // saturation and chooser path runs.
+        for history_bits in [0, 3, 8, 64] {
+            let config = TournamentConfig {
+                gshare_entries: 1 << 6,
+                bimodal_entries: 1 << 4,
+                selector_entries: 1 << 5,
+                history_bits,
+            };
+            let mut plain = TournamentPredictor::new(config);
+            let mut laned = TournamentPredictor::new(config);
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..4000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = Pc::new(0x4000 + (x % 97) * 4);
+                let history = x.rotate_left(17);
+                let taken = x % 3 != 0;
+                let predicted = plain.predict(pc, history);
+                let mut lane = laned.lane();
+                assert_eq!(lane.predict(pc.table_hash(), history), predicted);
+                lane.train(pc.table_hash(), history, taken);
+                plain.update(pc, history, taken, predicted);
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            plain.save_state(&mut a);
+            laned.save_state(&mut b);
+            assert_eq!(a, b, "history_bits {history_bits}");
+        }
     }
 
     #[test]

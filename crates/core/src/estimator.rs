@@ -78,13 +78,35 @@ impl BranchToken {
     }
 
     /// The encoded contribution this token added.
+    #[inline]
     pub fn encoded_contribution(&self) -> u32 {
         self.encoded
     }
 
     /// Whether the branch was classified low-confidence at fetch.
+    #[inline]
     pub fn is_low_confidence(&self) -> bool {
         self.low_conf
+    }
+
+    /// The MDC value captured at fetch (`None` for a token that carries
+    /// no contribution).
+    #[inline]
+    pub fn mdc(&self) -> Option<Mdc> {
+        self.mdc
+    }
+
+    /// Rebuilds a token from its parts, for a holder that keeps
+    /// in-flight tokens in a compact form of its own (the online
+    /// pipeline's window does).
+    #[inline]
+    pub fn from_parts(encoded: u32, low_conf: bool, mdc: Option<Mdc>, table_key: u64) -> Self {
+        BranchToken {
+            encoded,
+            low_conf,
+            mdc,
+            table_key,
+        }
     }
 
     /// Appends the token's state (for session snapshots: an in-flight

@@ -10,7 +10,7 @@ use paco_types::fingerprint::code_fingerprint;
 use paco_types::DynInstr;
 
 use crate::proto::{
-    decode_error, decode_migrate_ack, decode_outcomes, decode_snapshot, decode_stats,
+    decode_error, decode_migrate_ack, decode_outcomes_with, decode_snapshot, decode_stats,
     decode_welcome, encode_events_into, encode_frame_with, encode_hello, encode_migrate_req,
     encode_outcomes, read_frame_into, Digest, ErrorCode, FrameKind, Hello, MigrateAck, MigrateReq,
     ProtoError, Resume, Snapshot, Stats, PROTOCOL_VERSION,
@@ -223,11 +223,15 @@ impl Client {
 
     /// Streams a batch of events; blocks for and returns the
     /// predictions (one per control instruction in the batch).
+    ///
+    /// The reply is decoded and fed to the [`digest`](Self::digest) in
+    /// one pass over its bytes; a payload that fails to decode is still
+    /// digested whole.
     pub fn send_events(&mut self, instrs: &[DynInstr]) -> Result<Vec<OnlineOutcome>, ClientError> {
         self.send(FrameKind::Events, |out| encode_events_into(out, instrs))?;
         self.expect_frame(FrameKind::Predictions)?;
-        self.digest.update(&self.rx);
-        Ok(decode_outcomes(&self.rx)?)
+        let digest = &mut self.digest;
+        Ok(decode_outcomes_with(&self.rx, |byte| digest.absorb(byte))?)
     }
 
     /// Requests a snapshot of the session's full pipeline state.

@@ -60,8 +60,8 @@ pub use load::{
 };
 pub use metrics::{FleetCounters, ServeMetrics, SessionMode};
 pub use proto::{
-    Digest, ErrorCode, FleetStats, FrameDecoder, FrameKind, MigrateAck, MigrateReq, ProtoError,
-    SessionStats, Stats, PROTOCOL_VERSION,
+    Digest, ErrorCode, FleetStats, FrameDecoder, FrameKind, FrameRef, MigrateAck, MigrateReq,
+    ProtoError, SessionStats, Stats, PROTOCOL_VERSION,
 };
 pub use server::{FaultInjector, RunningServer, ServeOptions};
 pub use session::{Session, SessionTable};

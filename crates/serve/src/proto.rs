@@ -166,6 +166,26 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// A frame whose payload is borrowed from a [`FrameDecoder`]'s buffer,
+/// valid until the decoder is next used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// The frame type.
+    pub kind: FrameKind,
+    /// The raw payload (decode with the matching `decode_*` function).
+    pub payload: &'a [u8],
+}
+
+impl FrameRef<'_> {
+    /// The frame with its payload copied out.
+    pub fn to_frame(&self) -> Frame {
+        Frame {
+            kind: self.kind,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
 /// Serializes a frame to a byte vector (header + payload + CRC).
 pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 9);
@@ -1077,22 +1097,76 @@ pub fn encode_outcomes_into(out: &mut Vec<u8>, outcomes: &OutcomeBatch) {
 }
 
 /// Decodes a batch of prediction outcomes.
-pub fn decode_outcomes(mut input: &[u8]) -> Result<Vec<OnlineOutcome>, ProtoError> {
-    let input = &mut input;
-    let count = read_uvarint(input).ok_or_else(|| malformed("predictions: count"))?;
+pub fn decode_outcomes(input: &[u8]) -> Result<Vec<OnlineOutcome>, ProtoError> {
+    decode_outcomes_with(input, |_| {})
+}
+
+/// [`decode_outcomes`] that hands every payload byte to `absorb`, in
+/// order, in the same pass — the client feeds its [`Digest`] this way,
+/// so the bytes are walked once. Every byte is absorbed exactly once,
+/// also when decoding fails: the bytes from the failing outcome on are
+/// absorbed before the error returns.
+pub(crate) fn decode_outcomes_with(
+    payload: &[u8],
+    mut absorb: impl FnMut(u8),
+) -> Result<Vec<OnlineOutcome>, ProtoError> {
+    let mut rest = payload;
+    let decoded = decode_outcome_pieces(&mut rest, &mut absorb);
+    rest.iter().for_each(|&b| absorb(b));
+    decoded
+}
+
+/// The body of [`decode_outcomes_with`]: `rest` is the part of the
+/// payload not yet absorbed.
+fn decode_outcome_pieces(
+    rest: &mut &[u8],
+    absorb: &mut impl FnMut(u8),
+) -> Result<Vec<OnlineOutcome>, ProtoError> {
+    let mut input = *rest;
+    let count = read_uvarint(&mut input).ok_or_else(|| malformed("predictions: count"))?;
+    rest[..rest.len() - input.len()]
+        .iter()
+        .for_each(|&b| absorb(b));
+    *rest = input;
     if count > (input.len() as u64 / 2) + 1 {
         return Err(malformed("predictions: implausible count"));
     }
+    const KNOWN: u8 = OUTCOME_PREDICTED | OUTCOME_MISPREDICTED | OUTCOME_HAS_PROB;
     let mut outcomes = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let (&flags, rest) = input
-            .split_first()
-            .ok_or_else(|| malformed("predictions: flags"))?;
-        *input = rest;
-        if flags & !(OUTCOME_PREDICTED | OUTCOME_MISPREDICTED | OUTCOME_HAS_PROB) != 0 {
-            return Err(malformed("predictions: unknown flag bits"));
-        }
-        let score = read_uvarint(input).ok_or_else(|| malformed("predictions: score"))?;
+        let (flags, score) = match *input {
+            // The common cases, one- and two-byte scores, absorb as
+            // they decode.
+            [flags, s0, ref tail @ ..] if s0 < 0x80 && flags & !KNOWN == 0 => {
+                absorb(flags);
+                absorb(s0);
+                input = tail;
+                (flags, s0 as u64)
+            }
+            [flags, s0, s1, ref tail @ ..] if s1 < 0x80 && flags & !KNOWN == 0 => {
+                absorb(flags);
+                absorb(s0);
+                absorb(s1);
+                input = tail;
+                (flags, (s0 & 0x7f) as u64 | (s1 as u64) << 7)
+            }
+            _ => {
+                let (&flags, tail) = input
+                    .split_first()
+                    .ok_or_else(|| malformed("predictions: flags"))?;
+                if flags & !KNOWN != 0 {
+                    return Err(malformed("predictions: unknown flag bits"));
+                }
+                input = tail;
+                let score =
+                    read_uvarint(&mut input).ok_or_else(|| malformed("predictions: score"))?;
+                rest[..rest.len() - input.len()]
+                    .iter()
+                    .for_each(|&b| absorb(b));
+                (flags, score)
+            }
+        };
+        *rest = input;
         outcomes.push(OnlineOutcome {
             score,
             has_prob: flags & OUTCOME_HAS_PROB != 0,
@@ -1261,17 +1335,53 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
+    /// The bytes the next frame takes when [`try_frame`](Self::try_frame)
+    /// would answer now without more bytes: its length when it is whole,
+    /// 0 for a header it refuses. `None` while more bytes are needed.
+    fn next_frame_len(&self) -> Option<usize> {
+        let pending = self.pending();
+        if pending.len() < 5 {
+            return None;
+        }
+        let len = u32::from_le_bytes(pending[1..5].try_into().unwrap()) as usize;
+        if FrameKind::from_byte(pending[0]).is_none() || len > MAX_FRAME_PAYLOAD {
+            Some(0)
+        } else {
+            (pending.len() >= 5 + len + 4).then_some(5 + len + 4)
+        }
+    }
+
+    /// Whether [`try_frame`](Self::try_frame) would answer now without
+    /// more bytes: a whole frame is buffered, or a header it refuses.
+    pub(crate) fn frame_ready(&self) -> bool {
+        self.next_frame_len().is_some()
+    }
+
+    /// Whether bytes past the next whole frame are buffered: the peer
+    /// sent more than one frame ahead.
+    pub(crate) fn past_frame(&self) -> bool {
+        self.next_frame_len()
+            .is_some_and(|len| self.buffered() > len)
+    }
+
     /// Whether the decoder sits at a frame boundary (a clean EOF here is
     /// a clean close, not a protocol error).
     pub fn at_boundary(&self) -> bool {
         self.buffered() == 0
     }
 
-    /// Extracts the next complete frame. `Ok(None)` means more bytes are
+    /// Extracts the next complete frame, lending its payload from the
+    /// decoder's buffer (no copy). `Ok(None)` means more bytes are
     /// needed; an error is terminal (the stream is unusable, matching
     /// [`read_frame`]'s verdict at the same point).
-    pub fn try_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let pending = self.pending();
+    pub fn try_frame(&mut self) -> Result<Option<FrameRef<'_>>, ProtoError> {
+        // A fully consumed buffer restarts here rather than when its
+        // last frame is taken, since that frame borrows it.
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        }
+        let pending = &self.buf[self.pos..];
         if pending.len() < 5 {
             return Ok(None);
         }
@@ -1285,18 +1395,16 @@ impl FrameDecoder {
         if pending.len() < total {
             return Ok(None);
         }
-        let payload = &pending[5..5 + len];
         let crc = u32::from_le_bytes(pending[5 + len..total].try_into().unwrap());
-        if crc != frame_crc(pending[0], payload) {
+        if crc != frame_crc(pending[0], &pending[5..5 + len]) {
             return Err(malformed("frame checksum mismatch"));
         }
-        let payload = payload.to_vec();
+        let start = self.pos + 5;
         self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(Frame { kind, payload }))
+        Ok(Some(FrameRef {
+            kind,
+            payload: &self.buf[start..start + len],
+        }))
     }
 
     /// The verdict for an EOF observed now: `Ok` at a frame boundary,
@@ -1360,10 +1468,14 @@ impl Digest {
 
     /// Feeds bytes into the digest.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        bytes.iter().for_each(|&b| self.absorb(b));
+    }
+
+    /// Feeds one byte into the digest.
+    #[inline]
+    pub(crate) fn absorb(&mut self, byte: u8) {
+        self.0 ^= byte as u64;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     /// The current digest value.
@@ -1708,6 +1820,80 @@ mod tests {
         assert_eq!(back[1].probability(), Some(0.25));
     }
 
+    /// The plain sequential PREDICTIONS decoder the fused one must
+    /// agree with, verdict for verdict.
+    fn sequential_decode(mut input: &[u8]) -> Result<Vec<OnlineOutcome>, String> {
+        let input = &mut input;
+        let count = read_uvarint(input).ok_or("predictions: count")?;
+        if count > (input.len() as u64 / 2) + 1 {
+            return Err("predictions: implausible count".into());
+        }
+        let mut outcomes = Vec::new();
+        for _ in 0..count {
+            let (&flags, rest) = input.split_first().ok_or("predictions: flags")?;
+            *input = rest;
+            if flags & !(OUTCOME_PREDICTED | OUTCOME_MISPREDICTED | OUTCOME_HAS_PROB) != 0 {
+                return Err("predictions: unknown flag bits".into());
+            }
+            let score = read_uvarint(input).ok_or("predictions: score")?;
+            outcomes.push(OnlineOutcome {
+                score,
+                has_prob: flags & OUTCOME_HAS_PROB != 0,
+                predicted_taken: flags & OUTCOME_PREDICTED != 0,
+                mispredicted: flags & OUTCOME_MISPREDICTED != 0,
+            });
+        }
+        if !input.is_empty() {
+            return Err("predictions: trailing bytes".into());
+        }
+        Ok(outcomes)
+    }
+
+    #[test]
+    fn one_pass_decode_digests_every_byte_once() {
+        // Scores of every varint length, then every corruption a
+        // payload can carry: each must decode (or fail) exactly as the
+        // sequential decoder does and digest the whole payload.
+        let outcomes: Vec<OnlineOutcome> = [0u64, 1, 127, 128, 16_383, 16_384, 1 << 40, u64::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(i, score)| OnlineOutcome {
+                score,
+                has_prob: i % 2 == 0,
+                predicted_taken: i % 3 == 0,
+                mispredicted: i % 4 == 0,
+            })
+            .collect();
+        let payload = encode_outcomes(&outcomes);
+        let mut variants = vec![payload.clone(), Vec::new()];
+        for cut in 0..payload.len() {
+            variants.push(payload[..cut].to_vec());
+        }
+        for at in 1..payload.len() {
+            for bad in [0x08, 0x80, 0xff] {
+                let mut v = payload.clone();
+                v[at] = bad;
+                variants.push(v);
+            }
+        }
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        variants.push(trailing);
+        for v in &variants {
+            let mut whole = Digest::new();
+            whole.update(v);
+            let mut fused = Digest::new();
+            let decoded = decode_outcomes_with(v, |b| fused.absorb(b));
+            assert_eq!(fused, whole, "payload {v:?}");
+            match (decoded, sequential_decode(v)) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b),
+                (Err(ProtoError::Malformed(a)), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("verdicts differ on {v:?}: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(decode_outcomes(&payload).unwrap(), outcomes);
+    }
+
     /// A PREDICTIONS payload is the count, then one flags byte and one
     /// score varint per outcome: no probability bytes.
     #[test]
@@ -1896,7 +2082,7 @@ mod tests {
         for &b in &stream {
             decoder.feed(&[b]);
             while let Some(frame) = decoder.try_frame().unwrap() {
-                got.push(frame);
+                got.push(frame.to_frame());
             }
         }
         assert!(decoder.at_boundary());
@@ -1907,6 +2093,26 @@ mod tests {
         }
         assert!(read_frame(&mut cursor).unwrap().is_none());
         assert_eq!(got.len(), frames.len());
+    }
+
+    #[test]
+    fn frame_decoder_reports_a_whole_frame_and_bytes_past_it() {
+        let frame = frame_bytes(FrameKind::Events, &[1, 2, 3]);
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&frame[..frame.len() - 1]);
+        assert!(!decoder.frame_ready() && !decoder.past_frame());
+        decoder.feed(&frame[frame.len() - 1..]);
+        assert!(decoder.frame_ready() && !decoder.past_frame());
+        decoder.feed(&frame[..1]);
+        assert!(decoder.frame_ready() && decoder.past_frame());
+        assert_eq!(decoder.try_frame().unwrap().unwrap().payload, [1, 2, 3]);
+        assert!(!decoder.frame_ready() && !decoder.past_frame());
+
+        // A header try_frame refuses is an answer too.
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&[0xFF; 6]);
+        assert!(decoder.frame_ready() && decoder.past_frame());
+        assert!(decoder.try_frame().is_err());
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! least-loaded peer. A session stays on the worker that ran its
 //! handshake, resumes included.
 //!
-//! Each worker sweep drains its inbox, flushes pending writes, drains
-//! readable bytes into a per-connection [`FrameDecoder`] and processes
-//! the complete frames — the hot path stays lock-free (the only lock
-//! is the inbox mutex at sweep start; each batch's watch delta reaches
-//! the fleet aggregator through relaxed atomics). A sweep that moves
+//! Each worker sweep drains its inbox, then gives every connection a
+//! turn of at most one frame: flush pending writes, read into the
+//! connection's [`FrameDecoder`] (stopping once it holds more than a
+//! whole frame), dispatch one frame from the decoder's buffer, flush.
+//! A client that pipelines frames therefore cannot hold the worker. The
+//! hot path stays lock-free (the only lock is the inbox mutex at sweep
+//! start; each batch's watch delta reaches the fleet aggregator through
+//! relaxed atomics). A sweep that moves
 //! nothing ends in one `ppoll(2)` over the worker's own sockets, the
 //! listener and its inbox's wake socket, so a waiting worker wakes the
 //! moment a socket, a new connection or its inbox turns ready. For
@@ -56,7 +59,7 @@ use crate::metrics::{ServeMetrics, SessionMode};
 use crate::proto::{
     decode_events_into, decode_hello, decode_migrate_req, encode_error, encode_frame_into,
     encode_frame_with, encode_migrate_ack, encode_outcomes_into, encode_snapshot, encode_stats,
-    encode_welcome, ErrorCode, FleetStats, Frame, FrameDecoder, FrameKind, Hello, MigrateAck,
+    encode_welcome, ErrorCode, FleetStats, FrameDecoder, FrameKind, FrameRef, Hello, MigrateAck,
     ProtoError, Resume, Snapshot, Stats, Welcome, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::session::{Session, SessionTable};
@@ -68,14 +71,6 @@ const READ_CHUNK: usize = 64 * 1024;
 /// The largest legal frame on the wire: kind byte, length prefix, a
 /// maximal payload, CRC.
 const MAX_FRAME_BYTES: usize = 5 + MAX_FRAME_PAYLOAD + 4;
-
-/// A connection whose decoder already buffers this much stops reading
-/// until frames drain — keeps one fire-hose client from starving its
-/// shard's siblings. One maximal frame always fits, so every legal frame
-/// completes; a decoder holds less than this plus one [`READ_CHUNK`]
-/// unconsumed, and at most as much again of consumed prefix awaiting
-/// compaction.
-const READ_HIGH_WATER: usize = MAX_FRAME_BYTES;
 
 /// A connection whose unflushed output reaches this much stops reading
 /// and dispatching until the peer drains it — write backpressure
@@ -394,12 +389,19 @@ impl Conn {
         self.out.len() - self.out_pos >= WRITE_HIGH_WATER
     }
 
+    /// Whether the connection reads more: not once it is closing or
+    /// write-blocked, or holds bytes past a whole frame it has yet to
+    /// dispatch (its peer pipelines frames).
+    fn wants_input(&self) -> bool {
+        !self.closing && !self.write_blocked() && !self.decoder.past_frame()
+    }
+
     /// The readiness this connection waits for while its worker idles:
-    /// input unless it is closing or above a high-water mark, output
-    /// while replies are unflushed. (`POLLERR`/`POLLHUP` always wake.)
+    /// input while it [`wants_input`](Self::wants_input), output while
+    /// replies are unflushed. (`POLLERR`/`POLLHUP` always wake.)
     fn interest(&self) -> c_short {
         let mut events = 0;
-        if !self.closing && self.decoder.buffered() < READ_HIGH_WATER && !self.write_blocked() {
+        if self.wants_input() {
             events |= POLLIN;
         }
         if !self.out_done() {
@@ -676,9 +678,14 @@ impl Worker {
         }
     }
 
-    /// One readiness pass over one connection: flush, read, decode,
-    /// dispatch, flush. Reading and dispatch pause while the
-    /// connection is write-blocked.
+    /// One turn of one connection: flush, read, decode, dispatch, flush.
+    /// A turn handles at most one frame — reading stops once bytes past
+    /// a whole frame are buffered, and one frame is dispatched — so a
+    /// client that pipelines frames gets one per sweep like every other
+    /// connection on the worker; the sweep reports progress, so the
+    /// worker sweeps again at once for the rest. A stop-and-wait client
+    /// reads until its socket is empty, as it always has. Reading and
+    /// dispatch pause while the connection is write-blocked.
     fn sweep_conn(&self, conn: &mut Conn, scratch: &mut Scratch) -> Sweep {
         let mut active = match conn.flush() {
             Ok(progress) => progress,
@@ -693,7 +700,7 @@ impl Worker {
         }
 
         let mut saw_eof = false;
-        while conn.decoder.buffered() < READ_HIGH_WATER && !conn.write_blocked() {
+        while conn.wants_input() {
             match conn.stream.read(&mut scratch.read_buf) {
                 Ok(0) => {
                     saw_eof = true;
@@ -714,40 +721,37 @@ impl Worker {
             }
         }
 
-        // Cleared if backpressure stops dispatch with frames still
-        // buffered: the EOF verdict waits for them (a later read sees
-        // the EOF again).
+        // Cleared while a whole frame stays buffered (behind backpressure
+        // or this turn's one dispatch): the EOF verdict waits for it (a
+        // later read sees the EOF again).
         let mut drained = true;
-        loop {
-            if conn.write_blocked() {
-                drained = false;
-                break;
-            }
-            match conn.decoder.try_frame() {
+        if conn.write_blocked() {
+            drained = false;
+        } else {
+            let Conn {
+                decoder,
+                session,
+                out,
+                ..
+            } = &mut *conn;
+            match decoder.try_frame() {
                 Ok(Some(frame)) => {
                     active = true;
-                    match self.on_frame(conn, frame, scratch) {
-                        Flow::Continue => {}
-                        Flow::Refuse(code, msg) => {
-                            self.refuse(conn, code, &msg);
-                            break;
-                        }
+                    match self.on_frame(session, out, frame, scratch) {
+                        Flow::Continue => drained = !conn.decoder.frame_ready(),
+                        Flow::Refuse(code, msg) => self.refuse(conn, code, &msg),
                         Flow::Bye => {
                             let session = conn.session.take().expect("BYE without a session");
                             self.bye_exit(session);
                             conn.closing = true;
-                            break;
                         }
                         Flow::Migrate { target, operator } => {
                             return Sweep::Migrate { target, operator }
                         }
                     }
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    self.refuse(conn, ErrorCode::Malformed, &proto_msg(e));
-                    break;
-                }
+                Ok(None) => {}
+                Err(e) => self.refuse(conn, ErrorCode::Malformed, &proto_msg(e)),
             }
         }
 
@@ -777,24 +781,37 @@ impl Worker {
         Sweep::Keep { active }
     }
 
-    fn on_frame(&self, conn: &mut Conn, frame: Frame, scratch: &mut Scratch) -> Flow {
-        if conn.session.is_none() {
-            self.on_handshake_frame(conn, frame)
-        } else {
-            self.on_session_frame(conn, frame, scratch)
+    /// Dispatches one frame of a connection whose session (if any) and
+    /// output buffer are given: its payload is still borrowed from the
+    /// connection's decoder.
+    fn on_frame(
+        &self,
+        session: &mut Option<Session>,
+        out: &mut Vec<u8>,
+        frame: FrameRef<'_>,
+        scratch: &mut Scratch,
+    ) -> Flow {
+        match session {
+            None => self.on_handshake_frame(session, out, frame),
+            Some(session) => self.on_session_frame(session, out, frame, scratch),
         }
     }
 
     /// The first frame must be a valid HELLO; a good one establishes
     /// the session on this worker.
-    fn on_handshake_frame(&self, conn: &mut Conn, frame: Frame) -> Flow {
+    fn on_handshake_frame(
+        &self,
+        slot: &mut Option<Session>,
+        out: &mut Vec<u8>,
+        frame: FrameRef<'_>,
+    ) -> Flow {
         if frame.kind != FrameKind::Hello {
             return Flow::Refuse(
                 ErrorCode::Malformed,
                 "expected HELLO as the first frame".into(),
             );
         }
-        let hello = match decode_hello(&frame.payload) {
+        let hello = match decode_hello(frame.payload) {
             Ok(hello) => hello,
             Err(e) => return Flow::Refuse(ErrorCode::Malformed, e.to_string()),
         };
@@ -821,21 +838,25 @@ impl Worker {
             fingerprint: code_fingerprint(),
             events: session.pipeline.events(),
         };
-        encode_frame_into(&mut conn.out, FrameKind::Welcome, &encode_welcome(&welcome));
-        conn.session = Some(session);
+        encode_frame_into(out, FrameKind::Welcome, &encode_welcome(&welcome));
+        *slot = Some(session);
         Flow::Continue
     }
 
-    fn on_session_frame(&self, conn: &mut Conn, frame: Frame, scratch: &mut Scratch) -> Flow {
+    fn on_session_frame(
+        &self,
+        session: &mut Session,
+        out: &mut Vec<u8>,
+        frame: FrameRef<'_>,
+        scratch: &mut Scratch,
+    ) -> Flow {
         let shared = &self.shared;
         let metrics = &shared.metrics;
         metrics.frame(frame.kind).inc();
-        let Conn { session, out, .. } = conn;
-        let session = session.as_mut().expect("session frame without a session");
         match frame.kind {
             FrameKind::Events => {
                 let started = Instant::now();
-                if let Err(e) = decode_events_into(&frame.payload, &mut scratch.events) {
+                if let Err(e) = decode_events_into(frame.payload, &mut scratch.events) {
                     return Flow::Refuse(ErrorCode::Malformed, e.to_string());
                 }
                 scratch.outcomes.clear();
@@ -884,7 +905,7 @@ impl Worker {
             }
             FrameKind::Bye => Flow::Bye,
             FrameKind::Migrate => {
-                let req = match decode_migrate_req(&frame.payload) {
+                let req = match decode_migrate_req(frame.payload) {
                     Ok(req) => req,
                     Err(e) => return Flow::Refuse(ErrorCode::Malformed, e.to_string()),
                 };

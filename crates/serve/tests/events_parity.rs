@@ -95,3 +95,53 @@ fn every_kind_streams_oracle_bytes_watched_and_unwatched_metered_per_frame() {
     assert_eq!(metrics.batch_events.snapshot().sum(), streamed);
     server.stop();
 }
+
+/// A PREDICTIONS payload that passes its checksum but fails to decode:
+/// `send_events` refuses it, and the client's digest has still absorbed
+/// the whole payload, exactly as a digest-then-decode receive did.
+#[test]
+fn a_reply_that_fails_to_decode_is_still_digested_whole() {
+    use paco_serve::proto::{encode_welcome, frame_bytes, read_frame, ProtoError, Welcome};
+    use paco_serve::{ClientError, Digest};
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    // Two outcomes: a valid one, then one with a reserved flag bit.
+    let payload = vec![2, 0x01, 0x05, 0x80, 0x03];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let reply = payload.clone();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let hello = read_frame(&mut stream).expect("read HELLO").expect("HELLO");
+        assert_eq!(hello.kind, FrameKind::Hello);
+        let welcome = Welcome {
+            session_id: 1,
+            fingerprint: 0,
+            events: 0,
+        };
+        stream
+            .write_all(&frame_bytes(FrameKind::Welcome, &encode_welcome(&welcome)))
+            .expect("write WELCOME");
+        let events = read_frame(&mut stream)
+            .expect("read EVENTS")
+            .expect("EVENTS");
+        assert_eq!(events.kind, FrameKind::Events);
+        stream
+            .write_all(&frame_bytes(FrameKind::Predictions, &reply))
+            .expect("write PREDICTIONS");
+    });
+
+    let config = OnlineConfig::tiny(EstimatorKind::None);
+    let mut client = Client::connect(addr, &config).expect("connect");
+    match client.send_events(&gzip_events(2_000, 1)[..2]) {
+        Err(ClientError::Proto(ProtoError::Malformed(msg))) => {
+            assert!(msg.contains("flag bits"), "{msg}")
+        }
+        other => panic!("a reserved flag bit must be refused, got {other:?}"),
+    }
+    let mut whole = Digest::new();
+    whole.update(&payload);
+    assert_eq!(client.digest(), whole.value());
+    server.join().expect("scripted server");
+}

@@ -430,7 +430,7 @@ fn frame_corpus_rejections_land_frame_error_flights() {
                 decoder.feed(chunk);
                 loop {
                     match decoder.try_frame() {
-                        Ok(Some(frame)) => frames.push(frame),
+                        Ok(Some(frame)) => frames.push(frame.to_frame()),
                         Ok(None) => break,
                         Err(e) => {
                             verdict = Err(e.to_string());

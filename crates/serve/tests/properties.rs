@@ -383,7 +383,7 @@ fn decoder_verdict(bytes: &[u8], chunk_seed: u64) -> Result<Vec<Frame>, String> 
         // bytes are complete, regardless of chunk boundaries.
         loop {
             match decoder.try_frame() {
-                Ok(Some(frame)) => frames.push(frame),
+                Ok(Some(frame)) => frames.push(frame.to_frame()),
                 Ok(None) => break,
                 Err(e) => return Err(e.to_string()),
             }

@@ -89,16 +89,43 @@ impl OutcomeBatch {
     /// Appends one outcome.
     #[inline]
     pub fn push(&mut self, o: &OnlineOutcome) {
-        // Branchless flag packing; the shifts are pinned to the flag
-        // constants at compile time.
+        self.flags.push(Self::flag_bits(
+            o.predicted_taken,
+            o.mispredicted,
+            o.has_prob,
+        ));
+        self.scores.push(o.score);
+    }
+
+    /// Appends `n` all-zero outcomes and returns the columns of those
+    /// `n` — flags and scores — for a writer to fill by index, then
+    /// [`truncate`](Self::truncate) to what it wrote.
+    #[inline]
+    pub(crate) fn append_columns(&mut self, n: usize) -> (&mut [u8], &mut [u64]) {
+        let start = self.len();
+        self.flags.resize(start + n, 0);
+        self.scores.resize(start + n, 0);
+        (&mut self.flags[start..], &mut self.scores[start..])
+    }
+
+    /// Keeps the first `len` outcomes.
+    #[inline]
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.flags.truncate(len);
+        self.scores.truncate(len);
+    }
+
+    /// An outcome's flags byte (wire layout, see the `FLAG_*`
+    /// constants), packed branchlessly; the shifts are pinned to the
+    /// flag constants at compile time.
+    #[inline]
+    pub(crate) fn flag_bits(predicted_taken: bool, mispredicted: bool, has_prob: bool) -> u8 {
         const _: () = assert!(
             OutcomeBatch::FLAG_PREDICTED_TAKEN == 1
                 && OutcomeBatch::FLAG_MISPREDICTED == 1 << 1
                 && OutcomeBatch::FLAG_HAS_PROB == 1 << 2
         );
-        let flags = o.predicted_taken as u8 | (o.mispredicted as u8) << 1 | (o.has_prob as u8) << 2;
-        self.flags.push(flags);
-        self.scores.push(o.score);
+        predicted_taken as u8 | (mispredicted as u8) << 1 | (has_prob as u8) << 2
     }
 
     /// Reconstructs outcome `i`.

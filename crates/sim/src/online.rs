@@ -36,14 +36,16 @@
 //!   is matched out of its [`EstimatorKind`] **once per batch**, the
 //!   inner loop is monomorphized over the concrete estimator type
 //!   (no enum or vtable dispatch, no allocation), each event's PC is
-//!   hashed once and carried through the in-flight window, and
-//!   resolve-time component entries are touched once via fused train
-//!   ops. `paco-served` decodes EVENTS frames straight into this lane.
+//!   hashed once and carried through the in-flight window, and the
+//!   tables are borrowed as lanes with their masks and bounds hoisted
+//!   out of the loop. `paco-served` decodes EVENTS frames straight into
+//!   this lane.
 //!
-//! The batched lane is one fused loop: each event runs predict → MDC
-//! fetch → estimator fetch → window push → due resolves → tick with
-//! every per-event value in registers. `docs/ARCHITECTURE.md` describes
-//! the anatomy.
+//! The batched lane is one loop: each event runs predict → MDC fetch →
+//! estimator fetch → outcome write → window push → due resolves →
+//! tick; only an estimator's own slow paths (a refresh, say) call out
+//! of line.
+//! `docs/ARCHITECTURE.md` describes the anatomy.
 //!
 //! Lane equality — per outcome and per wire byte — is enforced, not
 //! assumed: the unit suite replays long streams through both lanes at
@@ -62,7 +64,9 @@ use paco::{
     PerBranchMrtPredictor, StaticMrtPredictor, ThresholdCountPredictor,
 };
 use paco_branch::DirectionPredictor;
-use paco_branch::{ConfidenceConfig, MdcIndex, MdcTable, TournamentConfig, TournamentPredictor};
+use paco_branch::{
+    ConfidenceConfig, Mdc, MdcIndex, MdcTable, TournamentConfig, TournamentPredictor,
+};
 use paco_types::canon::Canon;
 use paco_types::wire::{read_uvarint, write_uvarint};
 use paco_types::{ControlKind, DynInstr, EventBatch, GlobalHistory, InstrClass, Pc};
@@ -224,44 +228,133 @@ impl OnlineOutcome {
     }
 }
 
-/// A fetched-but-unresolved branch in the pipeline's in-flight window.
+/// A fetched-but-unresolved branch in the pipeline's in-flight window:
+/// 32 bytes, so a push or a pop moves half a cache line.
+///
+/// The estimator's [`BranchToken`] is kept by parts — its contribution,
+/// its MDC and its low-confidence bit — and rebuilt by
+/// [`token`](Self::token): every token an estimator hands out either
+/// carries no MDC (and is empty) or carries the fetch's table key,
+/// which is `pc_hash ^ hist_before`. Both lanes assert the round trip
+/// in debug builds, and a restore refuses a blob whose tokens do not
+/// make it.
 #[derive(Debug, Clone, Copy)]
 struct PendingBranch {
-    token: BranchToken,
     pc: u64,
     /// `Pc::table_hash()` of `pc`, computed once at fetch and reused by
     /// every resolve-time table index (a pure function of `pc`, so
     /// caching it cannot change any outcome). Not serialized — restore
-    /// recomputes it. Meaningful only for conditional branches (0
-    /// otherwise; resolution never indexes tables for non-conditional
-    /// control).
+    /// recomputes it. 0 for non-conditional control, whose resolution
+    /// never indexes a table.
     pc_hash: u64,
+    hist_before: u64,
     /// The MDC entry read at fetch, reused by the batched lane's
     /// resolve. A pure function of `(pc_hash, hist_before, predicted)`,
     /// so caching it cannot change any outcome; not serialized
     /// (restore recomputes it); placeholder for non-conditional
     /// control.
     mdc_idx: MdcIndex,
-    hist_before: u64,
-    taken: bool,
-    predicted: bool,
-    conditional: bool,
+    /// The token's encoded contribution (at most
+    /// [`paco::EncodedProb::SATURATION`]).
+    encoded: u16,
+    /// The token's MDC value, meaningful under [`HAS_MDC`].
+    mdc: u8,
+    /// [`TAKEN`], [`PREDICTED`] and [`CONDITIONAL`] — the snapshot's
+    /// flag byte — plus the token's [`LOW_CONF`] and [`HAS_MDC`] bits.
+    flags: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<PendingBranch>() == 32);
+
+/// [`PendingBranch::flags`]: the branch was taken.
+const TAKEN: u8 = 1;
+/// [`PendingBranch::flags`]: the pipeline predicted it taken.
+const PREDICTED: u8 = 1 << 1;
+/// [`PendingBranch::flags`]: it is a conditional branch.
+const CONDITIONAL: u8 = 1 << 2;
+/// [`PendingBranch::flags`]: its token is low-confidence.
+const LOW_CONF: u8 = 1 << 3;
+/// [`PendingBranch::flags`]: its token carries an MDC.
+const HAS_MDC: u8 = 1 << 4;
+/// The flag bits a snapshot stores.
+const SNAPSHOT_FLAGS: u8 = TAKEN | PREDICTED | CONDITIONAL;
+
 impl PendingBranch {
+    /// A window entry; `flags` holds the snapshot bits, the token's are
+    /// added here.
+    #[inline(always)]
+    fn new(
+        pc: u64,
+        pc_hash: u64,
+        hist_before: u64,
+        mdc_idx: MdcIndex,
+        token: BranchToken,
+        flags: u8,
+    ) -> Self {
+        let mdc = token.mdc();
+        PendingBranch {
+            pc,
+            pc_hash,
+            hist_before,
+            mdc_idx,
+            encoded: token.encoded_contribution() as u16,
+            mdc: mdc.map_or(0, |m| m.value()),
+            flags: flags
+                | if token.is_low_confidence() {
+                    LOW_CONF
+                } else {
+                    0
+                }
+                | if mdc.is_some() { HAS_MDC } else { 0 },
+        }
+    }
+
     /// An inert record, used to pre-fill window slots.
     fn empty() -> Self {
         PendingBranch {
-            token: BranchToken::empty(),
             pc: 0,
             pc_hash: 0,
-            mdc_idx: MdcIndex::default(),
             hist_before: 0,
-            taken: false,
-            predicted: false,
-            conditional: false,
+            mdc_idx: MdcIndex::default(),
+            encoded: 0,
+            mdc: 0,
+            flags: 0,
         }
     }
+
+    /// The estimator token, rebuilt (see the type docs).
+    #[inline(always)]
+    fn token(&self) -> BranchToken {
+        let mdc = (self.flags & HAS_MDC != 0).then(|| Mdc::new(self.mdc));
+        let table_key = if mdc.is_some() {
+            self.pc_hash ^ self.hist_before
+        } else {
+            0
+        };
+        let low_conf = self.flags & LOW_CONF != 0;
+        BranchToken::from_parts(self.encoded as u32, low_conf, mdc, table_key)
+    }
+
+    #[inline(always)]
+    fn taken(&self) -> bool {
+        self.flags & TAKEN != 0
+    }
+
+    #[inline(always)]
+    fn predicted(&self) -> bool {
+        self.flags & PREDICTED != 0
+    }
+
+    #[inline(always)]
+    fn conditional(&self) -> bool {
+        self.flags & CONDITIONAL != 0
+    }
+}
+
+/// The snapshot flag bits of a branch.
+#[inline(always)]
+fn branch_flags(taken: bool, predicted: bool, conditional: bool) -> u8 {
+    taken as u8 | (predicted as u8) << 1 | (conditional as u8) << 2
 }
 
 /// The in-flight window: a fixed-capacity ring of [`PendingBranch`]es.
@@ -270,11 +363,10 @@ impl PendingBranch {
 /// draining down to `resolve_lag` — so the ring is allocated once and
 /// never grows, and its push/pop are plain masked index arithmetic with
 /// no capacity management on the hot path. Capacity is rounded to a
-/// power of two for the mask, the same allocation policy `VecDeque`
-/// applies internally.
+/// power of two for the mask (the slice length minus one, so every
+/// masked index is in bounds by construction).
 struct Window {
     slots: Box<[PendingBranch]>,
-    mask: usize,
     head: usize,
     len: usize,
 }
@@ -284,39 +376,53 @@ impl Window {
         let capacity = capacity.max(1).next_power_of_two();
         Window {
             slots: vec![PendingBranch::empty(); capacity].into_boxed_slice(),
-            mask: capacity - 1,
             head: 0,
             len: 0,
         }
     }
 
-    #[inline]
+    /// A window with no slots, standing in while the batched lane holds
+    /// the real one (allocates nothing).
+    fn detached() -> Self {
+        Window {
+            slots: Box::default(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
     fn len(&self) -> usize {
         self.len
     }
 
-    #[inline]
+    #[inline(always)]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    #[inline(always)]
     fn push_back(&mut self, b: PendingBranch) {
         debug_assert!(self.len < self.slots.len(), "window overfilled");
-        let idx = (self.head + self.len) & self.mask;
+        let idx = (self.head + self.len) & self.mask();
         self.slots[idx] = b;
         self.len += 1;
     }
 
-    #[inline]
+    #[inline(always)]
     fn pop_front(&mut self) -> Option<PendingBranch> {
         if self.len == 0 {
             return None;
         }
-        let b = self.slots[self.head];
-        self.head = (self.head + 1) & self.mask;
+        let b = self.slots[self.head & self.mask()];
+        self.head = (self.head + 1) & self.mask();
         self.len -= 1;
         Some(b)
     }
 
     /// Iterates oldest → youngest (snapshot order).
     fn iter(&self) -> impl Iterator<Item = &PendingBranch> + '_ {
-        (0..self.len).map(move |i| &self.slots[(self.head + i) & self.mask])
+        (0..self.len).map(move |i| &self.slots[(self.head + i) & self.mask()])
     }
 }
 
@@ -468,19 +574,14 @@ impl PipelineCore {
         // be the decoded score.
         debug_assert_eq!(prob.map(|p| p.value()), outcome.probability());
 
-        self.pending.push_back(PendingBranch {
-            token,
-            pc: pc.addr(),
-            // The window is shared with the batched lane, whose resolve
-            // indexes off the cached hash/index; fill them here too so
-            // the lanes can interleave freely on one pipeline.
-            pc_hash: if conditional { pc.table_hash() } else { 0 },
-            mdc_idx: idx,
-            hist_before,
-            taken,
-            predicted,
-            conditional,
-        });
+        // The window is shared with the batched lane, whose resolve
+        // indexes off the cached hash/index; fill them here too so the
+        // lanes can interleave freely on one pipeline.
+        let pc_hash = if conditional { pc.table_hash() } else { 0 };
+        let flags = branch_flags(taken, predicted, conditional);
+        let entry = PendingBranch::new(pc.addr(), pc_hash, hist_before, idx, token, flags);
+        debug_assert_eq!(entry.token(), token, "a token the window cannot hold");
+        self.pending.push_back(entry);
         while self.pending.len() > self.resolve_lag {
             self.resolve_oldest_reference(est);
         }
@@ -490,123 +591,48 @@ impl PipelineCore {
     }
 
     /// The reference resolve: plain `Pc`-keyed table updates (see
-    /// [`step_reference`](Self::step_reference)).
+    /// [`step_reference`](Self::step_reference)). Kept out of line:
+    /// inlined into `step_reference`, the compiler hoists every table
+    /// field out of the (at most once per event) resolve loop into
+    /// stack slots that each event then pays to fill.
+    #[inline(never)]
     fn resolve_oldest_reference(&mut self, est: &mut dyn PathConfidenceEstimator) {
         let Some(b) = self.pending.pop_front() else {
             return;
         };
-        if b.conditional {
+        if b.conditional() {
             let pc = Pc::new(b.pc);
-            let mispredicted = b.predicted != b.taken;
-            est.on_resolve(b.token, mispredicted);
-            let idx = self.mdc.index(pc, b.hist_before, b.predicted);
+            let mispredicted = b.predicted() != b.taken();
+            est.on_resolve(b.token(), mispredicted);
+            let idx = self.mdc.index(pc, b.hist_before, b.predicted());
             self.mdc.update(idx, !mispredicted);
             self.tournament
-                .update(pc, b.hist_before, b.taken, b.predicted);
+                .update(pc, b.hist_before, b.taken(), b.predicted());
         } else {
-            est.on_resolve(b.token, false);
+            est.on_resolve(b.token(), false);
         }
     }
 
-    /// The **batched-lane** step: the same event semantics as
-    /// [`step_reference`](Self::step_reference), engineered for the hot
-    /// loop — the PC is hashed once and every table (gshare, bimodal,
-    /// selector, MDC, the per-branch key, and the same tables again at
-    /// resolve) indexes off it, resolve-time component entries are
-    /// touched once via the fused train ops, and the estimator is a
-    /// concrete type so every call inlines. Equality with the reference
-    /// is asserted by the parity suites (the hashed/fused table APIs
-    /// are themselves defined by delegation from the plain ones, so the
-    /// indices and final table states cannot differ).
-    #[inline(always)]
-    fn step<E: PathConfidenceEstimator>(
-        &mut self,
-        est: &mut E,
-        has_prob: bool,
-        pc: Pc,
-        conditional: bool,
-        taken: bool,
-    ) -> OnlineOutcome {
-        let hist_before = self.hist.bits();
-
-        let (info, pc_hash, idx, predicted, mispredicted) = if conditional {
-            // Hash the PC once; every table the event touches — gshare,
-            // bimodal, selector, MDC, the per-branch key, and the same
-            // tables again at resolve — indexes off this value.
-            let pc_hash = pc.table_hash();
-            let predicted = self.tournament.predict_hashed(pc_hash, hist_before);
-            let (idx, mdc) = self.mdc.fetch_hashed(pc_hash, hist_before, predicted);
-            let info = BranchFetchInfo::conditional_keyed(mdc, pc_hash ^ hist_before);
-            // The architectural outcome is known at event time, so the
-            // history register tracks truth — the same state the machine
-            // reaches after resolving (and, on a miss, repairing) the
-            // branch.
-            self.hist.push(taken);
-            (info, pc_hash, idx, predicted, predicted != taken)
-        } else {
-            // The online pipeline has no BTB/RAS/indirect model: service
-            // clients stream *resolved* events, and non-conditional
-            // control contributes no confidence state under JRS coverage
-            // (the paper's perlbmk blind spot, faithfully). Report them
-            // as predicted-taken hits.
-            (
-                BranchFetchInfo::non_conditional(),
-                0,
-                MdcIndex::default(),
-                true,
-                false,
-            )
-        };
-
-        let token = est.on_fetch(info);
-        let outcome = OnlineOutcome {
-            score: est.score().0,
-            has_prob,
-            predicted_taken: predicted,
-            mispredicted,
-        };
-
-        self.pending.push_back(PendingBranch {
-            token,
-            pc: pc.addr(),
-            pc_hash,
-            mdc_idx: idx,
-            hist_before,
-            taken,
-            predicted,
-            conditional,
-        });
-        while self.pending.len() > self.resolve_lag {
-            self.resolve_oldest(est);
-        }
-        est.tick(self.ticks_per_event);
-        self.events += 1;
-        outcome
-    }
-
-    /// The batched-lane resolve: estimator training, MDC update,
-    /// predictor update — the deferred back half of the event, indexing
-    /// every table off the hash cached at fetch.
-    #[inline(always)]
-    fn resolve_oldest<E: PathConfidenceEstimator>(&mut self, est: &mut E) {
-        let Some(b) = self.pending.pop_front() else {
-            return;
-        };
-        if b.conditional {
-            let mispredicted = b.predicted != b.taken;
-            est.on_resolve(b.token, mispredicted);
-            self.mdc.update(b.mdc_idx, !mispredicted);
-            self.tournament
-                .update_hashed(b.pc_hash, b.hist_before, b.taken);
-        } else {
-            est.on_resolve(b.token, false);
-        }
-    }
-
-    /// The batched lane's fused inner loop, monomorphized per concrete
-    /// estimator: no enum or vtable dispatch per event, no allocation,
-    /// and every per-event value lives and dies in registers. `has_prob`
-    /// comes from the estimator kind, so no probability is computed.
+    /// The **batched lane**: the same event semantics as
+    /// [`step_reference`](Self::step_reference), rebuilt as one loop
+    /// over a whole batch and monomorphized per concrete estimator, so
+    /// every estimator call inlines and nothing is dispatched or
+    /// allocated per event.
+    ///
+    /// Everything per-batch is hoisted before the loop: the tournament
+    /// and MDC tables are borrowed as lanes (slices whose power-of-two
+    /// lengths are the index masks, so no access is bounds-checked,
+    /// with the history masks and counter bounds in locals), and the
+    /// history register and event count stay in locals until the batch
+    /// ends. Each event's PC is hashed once; predict, the MDC fetch,
+    /// the table key and the resolve-time training all index off that
+    /// hash, and the resolve reuses the MDC index cached at fetch. The
+    /// window entry is 32 bytes. `has_prob` comes from the estimator
+    /// kind, so no probability is computed.
+    ///
+    /// Equality with the reference is asserted by the parity suites;
+    /// the lanes' own unit tests in `paco-branch` pin their ops to the
+    /// plain table APIs.
     fn process_batch<E: PathConfidenceEstimator>(
         &mut self,
         est: &mut E,
@@ -614,15 +640,83 @@ impl PipelineCore {
         events: &EventBatch,
         out: &mut OutcomeBatch,
     ) {
-        out.reserve(events.len());
+        let start = out.len();
+        let (flags_out, scores_out) = out.append_columns(events.len());
+        let lag = self.resolve_lag;
+        let ticks = self.ticks_per_event;
+        let mut tournament = self.tournament.lane();
+        let mut mdc = self.mdc.lane();
+        // The window moves into a local for the batch (its slots stay
+        // put), so its head and length live in registers.
+        let mut window = std::mem::replace(&mut self.pending, Window::detached());
+        let mut hist = self.hist;
+        let mut fetched = 0;
         for (pc, control, taken) in events.lanes() {
             // Non-control events are ignored, exactly like `on_instr`.
             let Some(conditional) = control else {
                 continue;
             };
-            let outcome = self.step(est, has_prob, pc, conditional, taken);
-            out.push(&outcome);
+            let hist_before = hist.bits();
+            // Each arm builds its own outcome flags and window entry, so
+            // the non-conditional arm's are constants.
+            let (entry, outcome_flags) = if conditional {
+                let pc_hash = pc.table_hash();
+                let predicted = tournament.predict(pc_hash, hist_before);
+                let (idx, m) = mdc.fetch(pc_hash, hist_before, predicted);
+                let info = BranchFetchInfo::conditional_keyed(m, pc_hash ^ hist_before);
+                let token = est.on_fetch(info);
+                // The architectural outcome is known at event time, so
+                // the history register tracks truth — the same state the
+                // machine reaches after resolving (and, on a miss,
+                // repairing) the branch.
+                hist.push(taken);
+                let flags = branch_flags(taken, predicted, true);
+                let entry = PendingBranch::new(pc.addr(), pc_hash, hist_before, idx, token, flags);
+                debug_assert_eq!(entry.token(), token, "a token the window cannot hold");
+                let mispredicted = predicted != taken;
+                (
+                    entry,
+                    OutcomeBatch::flag_bits(predicted, mispredicted, has_prob),
+                )
+            } else {
+                // The online pipeline has no BTB/RAS/indirect model:
+                // service clients stream *resolved* events, and
+                // non-conditional control contributes no confidence
+                // state under JRS coverage (the paper's perlbmk blind
+                // spot, faithfully). Report them as predicted-taken hits.
+                let token = est.on_fetch(BranchFetchInfo::non_conditional());
+                let flags = branch_flags(taken, true, false);
+                let idx = MdcIndex::default();
+                let entry = PendingBranch::new(pc.addr(), 0, hist_before, idx, token, flags);
+                debug_assert_eq!(entry.token(), token, "a token the window cannot hold");
+                (entry, OutcomeBatch::flag_bits(true, false, has_prob))
+            };
+            flags_out[fetched] = outcome_flags;
+            scores_out[fetched] = est.score().0;
+
+            window.push_back(entry);
+            while window.len() > lag {
+                // The deferred back half of an older event: estimator
+                // training, MDC update, predictor update.
+                let Some(b) = window.pop_front() else {
+                    break;
+                };
+                if b.conditional() {
+                    let mispredicted = b.predicted() != b.taken();
+                    est.on_resolve(b.token(), mispredicted);
+                    mdc.update(b.mdc_idx, !mispredicted);
+                    tournament.train(b.pc_hash, b.hist_before, b.taken());
+                } else {
+                    est.on_resolve(b.token(), false);
+                }
+            }
+            est.tick(ticks);
+            fetched += 1;
         }
+        out.truncate(start + fetched);
+        self.pending = window;
+        self.hist = hist;
+        self.events += fetched as u64;
     }
 }
 
@@ -781,10 +875,10 @@ impl OnlinePipeline {
         self.lane.as_dyn().save_state(out);
         write_uvarint(out, self.core.pending.len() as u64);
         for b in self.core.pending.iter() {
-            b.token.save_state(out);
+            b.token().save_state(out);
             write_uvarint(out, b.pc);
             write_uvarint(out, b.hist_before);
-            out.push(b.taken as u8 | (b.predicted as u8) << 1 | (b.conditional as u8) << 2);
+            out.push(b.flags & SNAPSHOT_FLAGS);
         }
     }
 
@@ -840,34 +934,29 @@ impl OnlinePipeline {
             let Some((&flags, rest)) = input.split_first() else {
                 return false;
             };
-            if flags > 0b111 {
+            if flags & !SNAPSHOT_FLAGS != 0 {
                 return false;
             }
             *input = rest;
-            let conditional = flags & 4 != 0;
-            let predicted = flags & 2 != 0;
             // The cached hash/index are pure functions of the
             // serialized fields; recomputing them here restores exactly
             // the values the saving pipeline carried.
-            let pc_hash = if conditional {
-                Pc::new(pc).table_hash()
+            let (pc_hash, mdc_idx) = if flags & CONDITIONAL != 0 {
+                let pc = Pc::new(pc);
+                let predicted = flags & PREDICTED != 0;
+                (
+                    pc.table_hash(),
+                    self.core.mdc.index(pc, hist_before, predicted),
+                )
             } else {
-                0
+                (0, MdcIndex::default())
             };
-            pending.push_back(PendingBranch {
-                token,
-                pc,
-                pc_hash,
-                mdc_idx: if conditional {
-                    self.core.mdc.index_hashed(pc_hash, hist_before, predicted)
-                } else {
-                    MdcIndex::default()
-                },
-                hist_before,
-                taken: flags & 1 != 0,
-                predicted,
-                conditional,
-            });
+            let entry = PendingBranch::new(pc, pc_hash, hist_before, mdc_idx, token, flags);
+            // Only a token the window can hold is one a pipeline saved.
+            if entry.token() != token {
+                return false;
+            }
+            pending.push_back(entry);
         }
         self.core.events = events;
         self.core.hist.restore(hist_bits);

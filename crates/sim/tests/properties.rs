@@ -5,9 +5,13 @@
 //! **every** batch sizing. These properties also pin snapshot
 //! save/restore at an arbitrary cut: a blob taken at any event index
 //! must resume bit-identically however either side of the stream is
-//! batched.
+//! batched. The last property draws the configuration itself — table
+//! sizes, history and counter widths, the enhanced bit, the window, the
+//! tick rate and short refresh periods — so a kernel that hoists a
+//! mask or a bound wrongly diverges from the per-event lane here.
 
 use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
+use paco_branch::{ConfidenceConfig, TournamentConfig};
 use paco_sim::{EstimatorKind, OnlineConfig, OnlinePipeline, OutcomeBatch};
 use paco_types::{DynInstr, EventBatch};
 use paco_workloads::{BenchmarkId, Workload};
@@ -141,6 +145,80 @@ proptest! {
                 "post-restore divergence for {}",
                 OnlinePipeline::new(&config).estimator_name()
             );
+        }
+    }
+
+    /// Batched lane with a snapshot cut == scalar for every estimator
+    /// kind under a drawn configuration. The refresh periods are short
+    /// enough that PaCo and the MRT kinds refresh within the stream, so
+    /// their scores leave 0.
+    #[test]
+    fn batched_lane_matches_scalar_oracle_under_any_configuration(
+        seed in any::<u64>(),
+        log_sizes in proptest::collection::vec(4u32..=12, 5..6),
+        history_bits in (1u32..=64, 1u32..=64),
+        mdc in (1u32..=8, any::<bool>(), 0u8..=16),
+        window in (0usize..=64, 1u64..=8),
+        refresh in (1u64..300, 1u32..40),
+        batching in (
+            proptest::collection::vec(1usize..90, 1..4),
+            proptest::collection::vec(1usize..90, 1..4),
+            0usize..400,
+        ),
+    ) {
+        let (counter_bits, enhanced, threshold) = mdc;
+        let (resolve_lag, ticks_per_event) = window;
+        let (refresh_period, detect_window) = refresh;
+        let (pre_sizes, post_sizes, cut) = batching;
+        let size = |i: usize| 1usize << log_sizes[i];
+        let kinds = [
+            EstimatorKind::None,
+            EstimatorKind::Paco(PacoConfig::paper().with_refresh_period(refresh_period)),
+            EstimatorKind::ThresholdCount(ThresholdCountConfig { threshold }),
+            EstimatorKind::StaticMrt,
+            EstimatorKind::PerBranchMrt(PerBranchMrtConfig {
+                entries: size(4),
+                ..PerBranchMrtConfig::paper()
+            }),
+            EstimatorKind::AdaptiveMrt(
+                AdaptiveMrtConfig::paper()
+                    .with_refresh_period(refresh_period)
+                    .with_detect_window(detect_window),
+            ),
+        ];
+        let events = control_events(seed, 400);
+        let cut = cut.min(events.len());
+        for estimator in kinds {
+            let config = OnlineConfig {
+                tournament: TournamentConfig {
+                    gshare_entries: size(0),
+                    bimodal_entries: size(1),
+                    selector_entries: size(2),
+                    history_bits: history_bits.0,
+                },
+                confidence: ConfidenceConfig {
+                    entries: size(3),
+                    counter_bits,
+                    history_bits: history_bits.1,
+                    enhanced,
+                },
+                estimator,
+                resolve_lag,
+                ticks_per_event,
+            };
+            prop_assert!(config.validate().is_ok(), "drew an invalid config: {:?}", config);
+            let reference = run_per_event(&config, &events);
+
+            let mut pipe = OnlinePipeline::new(&config);
+            let mut all = OutcomeBatch::new();
+            drive(&mut pipe, &events[..cut], &pre_sizes, &mut all);
+            let mut blob = Vec::new();
+            pipe.save_state(&mut blob);
+            let mut restored = OnlinePipeline::new(&config);
+            prop_assert!(restored.load_state(&mut blob.as_slice()), "restore failed: {:?}", config);
+            drive(&mut restored, &events[cut..], &post_sizes, &mut all);
+
+            prop_assert_eq!(&reference, &all, "batched-lane divergence under {:?}", config);
         }
     }
 }
