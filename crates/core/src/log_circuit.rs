@@ -7,8 +7,14 @@
 //! leading one (found by shifting); the mantissa is approximated linearly
 //! by the bits below the leading one.
 
-use crate::EncodedProb;
+use crate::{EncodedProb, MrtBucket};
 use paco_types::canon::Canon;
+use std::sync::OnceLock;
+
+/// Arguments below this read [`LogCircuit::log2_fixed`] from a table:
+/// every MRT bucket total (at most `CORRECT_MAX + MISPRED_MAX` = 1086)
+/// and every count in it.
+const LOG2_TABLE_LEN: usize = (MrtBucket::CORRECT_MAX + MrtBucket::MISPRED_MAX) as usize + 1;
 
 /// Which logarithm implementation the MRT refresh uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,15 +74,45 @@ impl LogCircuit {
 
     /// Computes `1024·log₂(x)` for `x ≥ 1` in fixed point.
     ///
+    /// Arguments in the MRT counter range are looked up in a per-mode
+    /// table built once per process from the same computation, so the
+    /// per-branch MRT's per-fetch encoding runs no `f64` log; larger
+    /// ones are computed.
+    ///
     /// # Panics
     ///
     /// Panics if `x == 0` (the caller must handle empty buckets).
     pub fn log2_fixed(self, x: u32) -> u32 {
         assert!(x > 0, "log of zero is undefined");
+        match Self::tables()[self.mode as usize].get(x as usize) {
+            Some(&log) => log as u32,
+            None => self.log2_computed(x),
+        }
+    }
+
+    /// [`log2_fixed`](Self::log2_fixed) computed, not looked up.
+    fn log2_computed(self, x: u32) -> u32 {
         match self.mode {
             LogMode::Exact => (1024.0 * (x as f64).log2()).round() as u32,
             LogMode::Mitchell => Self::mitchell_log2_fixed(x),
         }
+    }
+
+    /// [`log2_computed`](Self::log2_computed) of every argument below
+    /// [`LOG2_TABLE_LEN`], indexed by `LogMode as usize` (entry 0 is
+    /// unused). Values stay below 2^14, so they fit a `u16`.
+    fn tables() -> &'static [[u16; LOG2_TABLE_LEN]; 2] {
+        static TABLES: OnceLock<[[u16; LOG2_TABLE_LEN]; 2]> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut tables = [[0; LOG2_TABLE_LEN]; 2];
+            for mode in [LogMode::Mitchell, LogMode::Exact] {
+                let circuit = LogCircuit::new(mode);
+                for (x, log) in tables[mode as usize].iter_mut().enumerate().skip(1) {
+                    *log = circuit.log2_computed(x as u32) as u16;
+                }
+            }
+            tables
+        })
     }
 
     /// Mitchell's shift-register approximation of `1024·log₂(x)`.
@@ -139,6 +175,18 @@ mod tests {
         assert_eq!(c.log2_fixed(4), 2048);
         assert_eq!(c.log2_fixed(512), 9 * 1024);
         assert_eq!(c.log2_fixed(1024), 10 * 1024);
+    }
+
+    #[test]
+    fn table_agrees_with_the_computation() {
+        for mode in [LogMode::Mitchell, LogMode::Exact] {
+            let c = LogCircuit::new(mode);
+            for x in 1..LOG2_TABLE_LEN as u32 + 64 {
+                assert_eq!(c.log2_fixed(x), c.log2_computed(x), "{mode:?} x={x}");
+            }
+            assert!(c.log2_computed(LOG2_TABLE_LEN as u32 - 1) < 1 << 14);
+            assert_eq!(c.log2_fixed(u32::MAX), c.log2_computed(u32::MAX));
+        }
     }
 
     #[test]

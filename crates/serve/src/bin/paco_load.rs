@@ -191,6 +191,12 @@ impl Common {
         if threads == Some(0) || batch == Some(0) {
             return Err("--threads and --batch must be at least 1".into());
         }
+        if batch.is_some_and(|b| b > paco_serve::MAX_EVENTS_PER_FRAME) {
+            return Err(format!(
+                "--batch must be at most {} (events per frame)",
+                paco_serve::MAX_EVENTS_PER_FRAME
+            ));
+        }
         if corpus.is_none() && (corpus_seed.is_some() || corpus_instrs.is_some()) {
             return Err("--corpus-seed/--corpus-instrs require --corpus".into());
         }

@@ -10,10 +10,10 @@ use paco_types::fingerprint::code_fingerprint;
 use paco_types::DynInstr;
 
 use crate::proto::{
-    decode_error, decode_migrate_ack, decode_outcomes_with, decode_snapshot, decode_stats,
-    decode_welcome, encode_events_into, encode_frame_with, encode_hello, encode_migrate_req,
-    encode_outcomes, read_frame_into, Digest, ErrorCode, FrameKind, Hello, MigrateAck, MigrateReq,
-    ProtoError, Resume, Snapshot, Stats, PROTOCOL_VERSION,
+    check_event_count, decode_error, decode_migrate_ack, decode_outcomes_with, decode_snapshot,
+    decode_stats, decode_welcome, encode_events_into, encode_frame_with, encode_hello,
+    encode_migrate_req, encode_outcomes, read_frame_into, Digest, ErrorCode, FrameKind, Hello,
+    MigrateAck, MigrateReq, ProtoError, Resume, Snapshot, Stats, PROTOCOL_VERSION,
 };
 
 /// A client-side failure.
@@ -227,7 +227,12 @@ impl Client {
     /// The reply is decoded and fed to the [`digest`](Self::digest) in
     /// one pass over its bytes; a payload that fails to decode is still
     /// digested whole.
+    ///
+    /// A batch of more than
+    /// [`MAX_EVENTS_PER_FRAME`](crate::MAX_EVENTS_PER_FRAME) events is
+    /// refused as malformed before anything is sent.
     pub fn send_events(&mut self, instrs: &[DynInstr]) -> Result<Vec<OnlineOutcome>, ClientError> {
+        check_event_count(instrs.len() as u64)?;
         self.send(FrameKind::Events, |out| encode_events_into(out, instrs))?;
         self.expect_frame(FrameKind::Predictions)?;
         let digest = &mut self.digest;

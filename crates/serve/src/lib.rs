@@ -61,7 +61,7 @@ pub use load::{
 pub use metrics::{FleetCounters, ServeMetrics, SessionMode};
 pub use proto::{
     Digest, ErrorCode, FleetStats, FrameDecoder, FrameKind, FrameRef, MigrateAck, MigrateReq,
-    ProtoError, SessionStats, Stats, PROTOCOL_VERSION,
+    ProtoError, SessionStats, Stats, MAX_EVENTS_PER_FRAME, PROTOCOL_VERSION,
 };
 pub use server::{FaultInjector, RunningServer, ServeOptions};
 pub use session::{Session, SessionTable};

@@ -38,6 +38,17 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// Upper bound accepted for a frame payload.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 22;
 
+/// Most events one EVENTS frame may carry. The PREDICTIONS reply holds
+/// at most one outcome per event, so at this cap even a reply of
+/// longest-encoded outcomes fits [`MAX_FRAME_PAYLOAD`], and so does the
+/// request itself.
+pub const MAX_EVENTS_PER_FRAME: usize = 1 << 18;
+
+const _: () = assert!(
+    MAX_UVARINT_LEN + MAX_EVENTS_PER_FRAME * MAX_OUTCOME_BYTES <= MAX_FRAME_PAYLOAD
+        && MAX_UVARINT_LEN + MAX_EVENTS_PER_FRAME * MAX_EVENT_BYTES <= MAX_FRAME_PAYLOAD
+);
+
 /// Frame type tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -991,7 +1002,7 @@ pub fn encode_events_into(out: &mut Vec<u8>, instrs: &[DynInstr]) {
 /// error it is left empty.
 ///
 /// Refuses a missing or implausible count (every event is at least two
-/// bytes), reserved flag bits, unknown class codes, truncation anywhere
+/// bytes), a count above [`MAX_EVENTS_PER_FRAME`], reserved flag bits, unknown class codes, truncation anywhere
 /// and trailing bytes. The batch's capacity is retained across frames,
 /// so a steady-state connection allocates nothing per frame.
 pub fn decode_events_into(input: &[u8], batch: &mut EventBatch) -> Result<(), ProtoError> {
@@ -1002,10 +1013,22 @@ pub fn decode_events_into(input: &[u8], batch: &mut EventBatch) -> Result<(), Pr
     decoded
 }
 
+/// Refuses an EVENTS frame of more than [`MAX_EVENTS_PER_FRAME`]
+/// events: the server's decoder on receipt, the client before sending.
+pub(crate) fn check_event_count(count: u64) -> Result<(), ProtoError> {
+    if count > MAX_EVENTS_PER_FRAME as u64 {
+        return Err(malformed(format!(
+            "events: {count} events exceed the cap of {MAX_EVENTS_PER_FRAME} per frame"
+        )));
+    }
+    Ok(())
+}
+
 /// [`decode_events_into`] without the clear on error.
 fn decode_event_columns(mut input: &[u8], batch: &mut EventBatch) -> Result<(), ProtoError> {
     let input = &mut input;
     let count = read_uvarint(input).ok_or_else(|| malformed("events: count"))?;
+    check_event_count(count)?;
     if count > input.len() as u64 / 2 {
         return Err(malformed("events: implausible count"));
     }
@@ -1703,6 +1726,20 @@ mod tests {
     }
 
     #[test]
+    fn event_decode_refuses_more_events_than_the_frame_cap() {
+        let events = vec![DynInstr::branch(Pc::new(4), true, Pc::new(4)); MAX_EVENTS_PER_FRAME + 1];
+        let mut batch = EventBatch::new();
+        decode_events_into(&encode_events(&events[1..]), &mut batch).unwrap();
+        assert_eq!(batch.len(), MAX_EVENTS_PER_FRAME);
+        let refused = decode_events_into(&encode_events(&events), &mut batch);
+        assert!(
+            matches!(&refused, Err(ProtoError::Malformed(m)) if m.contains("per frame")),
+            "{refused:?}"
+        );
+        assert!(batch.is_empty());
+    }
+
+    #[test]
     fn event_decode_refuses_reserved_flag_bits_and_unknown_classes() {
         let mut batch = EventBatch::new();
         for flags in 0..=u8::MAX {
@@ -2202,6 +2239,47 @@ mod tests {
                 panic!("non-malformed verdict at cut {cut}");
             };
             assert_eq!(a, b, "divergent message at cut {cut}");
+        }
+    }
+
+    /// A bulk-size EVENTS frame (4096 control events, ~12 KB, so its
+    /// checksum runs the braided CRC loop) with one bit flipped in the
+    /// payload or the CRC field is refused as a checksum mismatch by
+    /// both decoders.
+    #[test]
+    fn bulk_frame_bit_flips_are_checksum_mismatches() {
+        let mut workload = BenchmarkId::Gzip.build(5);
+        let events: Vec<DynInstr> = std::iter::from_fn(|| Some(workload.next_instr()))
+            .filter(|i| i.class.is_control())
+            .take(4096)
+            .collect();
+        let bytes = frame_bytes(FrameKind::Events, &encode_events(&events));
+        let payload = 5..bytes.len() - 4;
+        assert!(
+            payload.len() >= 8 * 1024,
+            "payload of {} bytes",
+            payload.len()
+        );
+        let flips = payload
+            .clone()
+            .step_by(97)
+            .chain([payload.start, payload.end - 1])
+            .map(|i| (i, 1u8 << (i % 8)))
+            .chain((payload.end..bytes.len()).flat_map(|i| (0..8).map(move |b| (i, 1u8 << b))));
+        for (i, bit) in flips {
+            let mut bad = bytes.clone();
+            bad[i] ^= bit;
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&bad);
+            for verdict in [
+                decoder.try_frame().map(|_| ()),
+                read_frame(&mut bad.as_slice()).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(&verdict, Err(ProtoError::Malformed(m)) if m == "frame checksum mismatch"),
+                    "flip {bit:#04x} at byte {i}: {verdict:?}"
+                );
+            }
         }
     }
 

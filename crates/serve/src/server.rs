@@ -863,9 +863,12 @@ impl Worker {
                 session
                     .pipeline
                     .run_batch(&scratch.events, &mut scratch.outcomes);
+                let reply_at = out.len();
                 encode_frame_with(out, FrameKind::Predictions, |out| {
                     encode_outcomes_into(out, &scratch.outcomes)
                 });
+                // The per-frame event cap keeps every reply legal.
+                debug_assert!(out.len() - reply_at - 9 <= MAX_FRAME_PAYLOAD);
                 // Watch telemetry rides the hot loop allocation-free,
                 // and the fleet counts the batch before its reply goes
                 // out.

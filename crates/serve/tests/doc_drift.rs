@@ -4,7 +4,7 @@
 //!
 //! The document is normative prose for humans; this suite parses its
 //! code-literal tables (frame kinds, error codes, the payload cap, the
-//! protocol version, the EVENTS record and PREDICTIONS outcome layouts,
+//! limits table, the protocol version, the EVENTS record and PREDICTIONS outcome layouts,
 //! the snapshot state version) and compares them against the implementation, so neither can
 //! change without the other.
 
@@ -139,6 +139,40 @@ fn payload_cap_matches_proto() {
         paco_serve::proto::MAX_FRAME_PAYLOAD,
         "docs/PROTOCOL.md quotes a {quoted_mib} MiB payload cap, proto.rs caps at {} bytes",
         paco_serve::proto::MAX_FRAME_PAYLOAD
+    );
+}
+
+#[test]
+fn limit_table_matches_proto() {
+    let doc = protocol_md();
+    let documented: Vec<(String, usize)> = doc
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((name.to_string(), cells.get(2)?.parse().ok()?))
+        })
+        .collect();
+    let expected = [
+        ("MAX_FRAME_PAYLOAD", paco_serve::proto::MAX_FRAME_PAYLOAD),
+        ("MAX_EVENTS_PER_FRAME", paco_serve::MAX_EVENTS_PER_FRAME),
+        ("MAX_FAMILY_NAME", paco_serve::proto::MAX_FAMILY_NAME),
+    ];
+    for (name, value) in expected {
+        let row = documented
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("docs/PROTOCOL.md: no limit row for {name}"));
+        assert_eq!(
+            row.1, value,
+            "docs/PROTOCOL.md documents {name} as {}, proto.rs says {value}",
+            row.1
+        );
+    }
+    assert_eq!(
+        documented.len(),
+        expected.len(),
+        "docs/PROTOCOL.md documents a limit proto.rs lacks: {documented:?}"
     );
 }
 

@@ -1,6 +1,7 @@
 //! Reactor resource bounds on a live server: a legal frame larger than
-//! 2 MiB is read to completion and answered, and a client that sends
-//! but never reads is throttled by write backpressure instead of
+//! 2 MiB is read to completion and answered, a frame whose reply could
+//! not fit a frame is refused with a typed error, and a client that
+//! sends but never reads is throttled by write backpressure instead of
 //! growing the server's output buffer without limit.
 
 use std::io::{ErrorKind, Write};
@@ -12,12 +13,15 @@ use std::time::Duration;
 use paco::PacoConfig;
 use paco_serve::client::offline_digest;
 use paco_serve::proto::{
-    config_hash, encode_events, encode_hello, frame_bytes, read_frame, FrameKind, Hello, Resume,
-    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
+    config_hash, decode_error, encode_events, encode_hello, frame_bytes, read_frame, FrameKind,
+    Hello, Resume, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
-use paco_serve::{corpus_control_events, Client, RunningServer};
+use paco_serve::{
+    corpus_control_events, Client, ClientError, ErrorCode, ProtoError, RunningServer,
+    MAX_EVENTS_PER_FRAME,
+};
 use paco_sim::{EstimatorKind, OnlineConfig};
-use paco_types::DynInstr;
+use paco_types::{DynInstr, Pc};
 
 fn pool(instrs: u64) -> Vec<DynInstr> {
     let entry = paco_corpus::find_entry("biased_bimodal").expect("corpus family");
@@ -29,13 +33,21 @@ fn pool(instrs: u64) -> Vec<DynInstr> {
 /// replay.
 #[test]
 fn frame_above_two_mib_is_answered_with_parity() {
-    // Without probabilities a prediction takes about two bytes, so the
-    // reply fits under the payload cap as well.
+    // A frame at the event cap passes 2 MiB only if its records are
+    // long: every other event's PC moves by 2^60, so each PC delta is a
+    // nine-byte varint.
     let config = OnlineConfig::tiny(EstimatorKind::None);
     let base = pool(200_000);
-    let bytes_per_event = encode_events(&base).len() as f64 / base.len() as f64;
-    let count = ((3 << 20) as f64 / bytes_per_event) as usize;
-    let events: Vec<DynInstr> = base.iter().cycle().take(count).cloned().collect();
+    let events: Vec<DynInstr> = base
+        .iter()
+        .cycle()
+        .take(MAX_EVENTS_PER_FRAME)
+        .enumerate()
+        .map(|(i, e)| DynInstr {
+            pc: Pc::new(e.pc.addr() ^ (i as u64 & 1) << 60),
+            ..*e
+        })
+        .collect();
     let payload = encode_events(&events).len();
     assert!(
         payload > 2 << 20 && payload <= MAX_FRAME_PAYLOAD,
@@ -65,6 +77,88 @@ fn frame_above_two_mib_is_answered_with_parity() {
     server.stop();
 }
 
+/// Opens a raw session under `config`: HELLO sent, WELCOME read.
+fn raw_session(server: &RunningServer, config: OnlineConfig) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let hello = Hello {
+        protocol_version: PROTOCOL_VERSION,
+        fingerprint: 0,
+        config,
+        config_hash: config_hash(&config),
+        resume: Resume::Fresh,
+        family: None,
+    };
+    stream
+        .write_all(&frame_bytes(FrameKind::Hello, &encode_hello(&hello)))
+        .expect("write HELLO");
+    let welcome = read_frame(&mut stream)
+        .expect("read WELCOME")
+        .expect("WELCOME before close");
+    assert_eq!(welcome.kind, FrameKind::Welcome);
+    stream
+}
+
+/// A legal-size EVENTS frame whose reply would pass the payload cap:
+/// 2,000,000 conditional events at one PC encode to about 4 MB, but
+/// paper StaticMRT answers each with a three-byte outcome. The server
+/// refuses it with a typed `MALFORMED` error rather than sending a
+/// frame its own decoder would refuse.
+#[test]
+fn frame_whose_reply_would_pass_the_cap_gets_a_typed_refusal() {
+    let config = OnlineConfig::paper(EstimatorKind::StaticMrt);
+    let events = vec![DynInstr::branch(Pc::new(0x4000), true, Pc::new(0x4000)); 2_000_000];
+    let frame = frame_bytes(FrameKind::Events, &encode_events(&events));
+    assert!(
+        frame.len() - 9 <= MAX_FRAME_PAYLOAD,
+        "the request itself is legal"
+    );
+
+    let server = RunningServer::bind("127.0.0.1:0", 1).expect("bind");
+    let mut stream = raw_session(&server, config);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    stream.write_all(&frame).expect("write EVENTS");
+    let reply = read_frame(&mut stream)
+        .expect("every server frame fits the payload cap")
+        .expect("a reply before close");
+    assert_eq!(reply.kind, FrameKind::Error, "got {:?}", reply.kind);
+    let (code, message) = decode_error(&reply.payload).expect("ERROR payload");
+    assert_eq!(code, ErrorCode::Malformed, "{message}");
+    assert!(message.contains("per frame"), "{message}");
+    server.stop();
+}
+
+/// `Client::send_events` refuses a batch over the event cap before
+/// sending anything, so the session stays usable.
+#[test]
+fn client_refuses_a_batch_over_the_event_cap() {
+    let config = OnlineConfig::tiny(EstimatorKind::None);
+    let events = pool(40_000);
+    let server = RunningServer::bind("127.0.0.1:0", 1).expect("bind");
+    let mut client = Client::connect(server.addr(), &config).expect("connect");
+    let oversize: Vec<DynInstr> = events
+        .iter()
+        .cycle()
+        .take(MAX_EVENTS_PER_FRAME + 1)
+        .cloned()
+        .collect();
+    match client.send_events(&oversize) {
+        Err(ClientError::Proto(ProtoError::Malformed(m))) => {
+            assert!(m.contains("per frame"), "{m}")
+        }
+        other => panic!("an oversize batch must be refused locally, got {other:?}"),
+    }
+    client
+        .send_events(&events[..512])
+        .expect("the session still serves");
+    assert_eq!(
+        client.digest(),
+        offline_digest(&config, &events[..512], 512)
+    );
+    server.stop();
+}
+
 /// A client that streams EVENTS and never reads its replies stalls
 /// after a bounded number of bytes: once its unflushed output passes
 /// the write high-water the server stops reading from it. A
@@ -82,22 +176,7 @@ fn client_that_never_reads_is_throttled() {
     let events = pool(40_000);
     let server = RunningServer::bind("127.0.0.1:0", 1).expect("bind");
 
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let hello = Hello {
-        protocol_version: PROTOCOL_VERSION,
-        fingerprint: 0,
-        config,
-        config_hash: config_hash(&config),
-        resume: Resume::Fresh,
-        family: None,
-    };
-    stream
-        .write_all(&frame_bytes(FrameKind::Hello, &encode_hello(&hello)))
-        .expect("write HELLO");
-    let welcome = read_frame(&mut stream)
-        .expect("read WELCOME")
-        .expect("WELCOME before close");
-    assert_eq!(welcome.kind, FrameKind::Welcome);
+    let mut stream = raw_session(&server, config);
 
     let frame = frame_bytes(FrameKind::Events, &encode_events(&events[..4096]));
     stream

@@ -7,14 +7,29 @@
 //! dependency-free vocabulary crate, with a single implementation and a
 //! single test suite. `paco-trace` re-exports them for compatibility.
 //!
-//! The CRC is computed slice-by-8: eight 1 KiB tables fold eight input
-//! bytes per step with independent lookups instead of a serial chain of
-//! eight. Every framed byte crosses it up to four times per served
-//! round trip (client encode, server decode, server encode, client
-//! decode), and the byte-at-a-time loop was the largest per-byte cost
-//! on that path. It is plain safe code, so the trace format, the result
-//! cache and the network protocol all share the one implementation; the
-//! byte-at-a-time loop survives in the tests as the reference.
+//! Every framed byte crosses the CRC up to four times per served round
+//! trip (client encode, server decode, server encode, client decode),
+//! so its loop is the largest per-byte cost on that path. Inputs below
+//! 1 KiB (`BRAID_MIN_LEN`) run slice-by-8: eight 1 KiB tables fold eight
+//! input bytes per step with independent lookups instead of a serial
+//! chain of eight. Longer inputs run zlib's braided CRC: five chains
+//! take turns over consecutive 8-byte words, each folding its word
+//! through eight more tables that carry the word past the other four
+//! chains' words, and the last block merges the chains through the
+//! slice-by-8 step. The chains are independent, so the loop runs at the
+//! rate of the table loads rather than the latency of one chain: about
+//! 0.21 ns/B on a bulk frame of 10–12 KB against 0.67–0.71 for
+//! slice-by-8 (2-vCPU Xeon VM). The threshold keeps small frames on
+//! slice-by-8's tables alone: with its own 8 KiB of tables cold, the
+//! braid lost to slice-by-8 up to about 1–1.5 KiB. All tables are
+//! `const`-evaluated, so nothing is initialised at run time.
+//!
+//! It is plain safe code, so the trace format, the result cache and the
+//! network protocol all share the one implementation on any hardware. A
+//! carry-less-multiply (PCLMULQDQ) CRC would be faster still, but it
+//! needs `unsafe` intrinsics, run-time feature detection and a second
+//! path for other hardware. The byte-at-a-time loop survives in the
+//! tests as the reference.
 //!
 //! # Examples
 //!
@@ -133,12 +148,14 @@ pub const fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// The eight slice-by-8 lookup tables. `CRC_TABLES[0]` is the classic
-/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC contribution of
-/// byte `b` followed by `k` zero bytes, so eight input bytes fold into
-/// the state with eight independent lookups.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// Eight CRC lookup tables: `tables[k][b]` is the CRC contribution of
+/// byte `b` followed by `zeros + k` zero bytes (from a zero state), so
+/// eight input bytes fold into a state with eight independent lookups.
+/// With `zeros == 0` these are the slice-by-8 tables and `tables[0]` is
+/// the classic byte-at-a-time table; the braided loop's tables carry
+/// the other chains' words as `zeros` extra zero bytes.
+const fn crc32_tables(zeros: usize) -> [[u32; 256]; 8] {
+    let mut base = [0u32; 256];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -151,23 +168,43 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
             };
             bit += 1;
         }
-        tables[0][i] = crc;
+        base[i] = crc;
         i += 1;
     }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            i += 1;
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        // Each step appends one zero byte to the byte's contribution.
+        let mut crc = base[i];
+        let mut step = 0;
+        while step < zeros + 8 {
+            if step >= zeros {
+                tables[step - zeros][i] = crc;
+            }
+            crc = (crc >> 8) ^ base[(crc & 0xff) as usize];
+            step += 1;
         }
-        k += 1;
+        i += 1;
     }
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables(0);
+
+/// Independent chains the braided loop runs side by side.
+const BRAID_CHAINS: usize = 5;
+
+/// Bytes one braided step consumes: one 8-byte word per chain.
+const BRAID_BLOCK: usize = 8 * BRAID_CHAINS;
+
+/// Inputs shorter than this take the slice-by-8 loop alone. Below it
+/// the braid tables' extra cache footprint costs more than the braid
+/// saves when they are cold (see the module doc).
+const BRAID_MIN_LEN: usize = 1024;
+
+/// The braided loop's tables: a word of one chain is followed by the
+/// other chains' words before that chain's next word.
+static BRAID_TABLES: [[u32; 256]; 8] = crc32_tables(8 * (BRAID_CHAINS - 1));
 
 /// CRC-32 (IEEE 802.3) of `data`, used as the payload checksum by every
 /// framed format in the workspace.
@@ -178,23 +215,57 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Feeds `data` into a running CRC-32 state (start from `!0u32`, finish
 /// by XORing with `!0u32`); lets framed formats checksum a header byte
 /// plus a payload without concatenating them.
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
+pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    if data.len() < BRAID_MIN_LEN {
+        return crc32_slice8(state, data);
+    }
+    let (braided, rest) = data.split_at(data.len() / BRAID_BLOCK * BRAID_BLOCK);
+    crc32_slice8(crc32_braided(state, braided), rest)
+}
+
+/// Folds one little-endian 8-byte word into `state` through the tables
+/// `t`: the slice-by-8 step.
+#[inline(always)]
+fn fold_word(t: &[[u32; 256]; 8], state: u32, word: &[u8]) -> u32 {
+    let w = state as u64 ^ u64::from_le_bytes(word.try_into().unwrap());
+    t[7][w as u8 as usize]
+        ^ t[6][(w >> 8) as u8 as usize]
+        ^ t[5][(w >> 16) as u8 as usize]
+        ^ t[4][(w >> 24) as u8 as usize]
+        ^ t[3][(w >> 32) as u8 as usize]
+        ^ t[2][(w >> 40) as u8 as usize]
+        ^ t[1][(w >> 48) as u8 as usize]
+        ^ t[0][(w >> 56) as usize]
+}
+
+/// Slice-by-8, then byte at a time for the last `len % 8` bytes.
+fn crc32_slice8(mut state: u32, data: &[u8]) -> u32 {
     let mut words = data.chunks_exact(8);
     for w in &mut words {
-        let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        state = t[7][lo as u8 as usize]
-            ^ t[6][(lo >> 8) as u8 as usize]
-            ^ t[5][(lo >> 16) as u8 as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][hi as u8 as usize]
-            ^ t[2][(hi >> 8) as u8 as usize]
-            ^ t[1][(hi >> 16) as u8 as usize]
-            ^ t[0][(hi >> 24) as usize];
+        state = fold_word(&CRC_TABLES, state, w);
     }
     for &b in words.remainder() {
-        state = (state >> 8) ^ t[0][(state as u8 ^ b) as usize];
+        state = (state >> 8) ^ CRC_TABLES[0][(state as u8 ^ b) as usize];
+    }
+    state
+}
+
+/// The braided loop over `data`, a nonzero multiple of [`BRAID_BLOCK`]
+/// bytes: chain `i` folds words `i`, `i + N`, `i + 2N`, ... through
+/// [`BRAID_TABLES`], so the chains' lookups are independent, and the
+/// last block merges them through the slice-by-8 step.
+fn crc32_braided(state: u32, data: &[u8]) -> u32 {
+    let (body, last) = data.split_at(data.len() - BRAID_BLOCK);
+    let mut chains = [0u32; BRAID_CHAINS];
+    chains[0] = state;
+    for block in body.chunks_exact(BRAID_BLOCK) {
+        for (i, chain) in chains.iter_mut().enumerate() {
+            *chain = fold_word(&BRAID_TABLES, *chain, &block[8 * i..8 * i + 8]);
+        }
+    }
+    let mut state = 0;
+    for (i, chain) in chains.iter().enumerate() {
+        state = fold_word(&CRC_TABLES, state ^ chain, &last[8 * i..8 * i + 8]);
     }
     state
 }
@@ -326,7 +397,8 @@ mod tests {
         assert_eq!(crc32_update(state, b"6789") ^ !0u32, crc32(b"123456789"));
     }
 
-    /// The byte-at-a-time CRC the slice-by-8 loop must agree with.
+    /// The byte-at-a-time CRC the slice-by-8 and braided loops must
+    /// agree with.
     fn crc32_update_reference(mut state: u32, data: &[u8]) -> u32 {
         for &b in data {
             state = (state >> 8) ^ CRC_TABLES[0][((state ^ b as u32) & 0xff) as usize];
@@ -339,32 +411,46 @@ mod tests {
         (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
+    /// Every length up to two braided blocks and a partial word past
+    /// the braid threshold, at every start offset within a word, from
+    /// the initial state and from a chained one.
     #[test]
     fn crc32_matches_byte_at_a_time_reference() {
-        let buf = seeded_bytes(256 + 8);
-        for offset in 0..8 {
-            for len in 0..=256 {
-                let data = &buf[offset..offset + len];
-                assert_eq!(
-                    crc32_update(!0u32, data),
-                    crc32_update_reference(!0u32, data),
-                    "offset {offset}, len {len}"
-                );
+        let longest = BRAID_MIN_LEN + 2 * BRAID_BLOCK + 7;
+        let buf = seeded_bytes(longest + 8);
+        let chained = crc32_update_reference(!0u32, b"a chained start");
+        for start in [!0u32, chained] {
+            for offset in 0..8 {
+                for len in 0..=longest {
+                    let data = &buf[offset..offset + len];
+                    assert_eq!(
+                        crc32_update(start, data),
+                        crc32_update_reference(start, data),
+                        "start {start:#x}, offset {offset}, len {len}"
+                    );
+                }
             }
         }
     }
 
+    /// Every cut of a bulk-size (12 KB) buffer: both halves may take
+    /// either loop, and the braided one must chain like the rest.
     #[test]
     fn crc32_update_chains_at_every_cut() {
-        let data = seeded_bytes(100);
+        let data = seeded_bytes(12 * 1024);
         let whole = crc32(&data);
+        assert_eq!(whole, crc32_update_reference(!0u32, &data) ^ !0u32);
+        let mut state = !0u32;
         for cut in 0..=data.len() {
-            let state = crc32_update(!0u32, &data[..cut]);
+            assert_eq!(crc32_update(!0u32, &data[..cut]), state, "cut {cut}");
             assert_eq!(
                 crc32_update(state, &data[cut..]) ^ !0u32,
                 whole,
                 "cut {cut}"
             );
+            if let Some(&b) = data.get(cut) {
+                state = crc32_update_reference(state, &[b]);
+            }
         }
     }
 }
